@@ -17,12 +17,11 @@ across builds.
 """
 
 import json
-import os
 import time
 
 import pytest
 
-from benchmarks.conftest import report_row
+from benchmarks.conftest import BenchRecorder, report_row
 from repro.core import ProvenanceCapture, run_from_result
 from repro.workflow import Executor
 from repro.workflow.engine import ModuleResult, RunResult, ValueRecord
@@ -37,18 +36,7 @@ OVERHEAD_BUDGET_PCT = 15.0
 #: the journal-heavy firehose.
 MIN_FIREHOSE_SPEEDUP = 3.0
 
-_results = {}
-
-
-def _record(**fields) -> None:
-    """Accumulate measurements; mirror them to $BENCH_JSON when set."""
-    _results.update(fields)
-    path = os.environ.get("BENCH_JSON")
-    if path:
-        payload = {"experiment": "E1-capture",
-                   "modules": HIGH_RATE_MODULES, **_results}
-        with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+_record = BenchRecorder("E1-capture", modules=HIGH_RATE_MODULES)
 
 
 @pytest.mark.parametrize("length", [10, 40])

@@ -18,11 +18,9 @@ numbers are dumped there so CI can archive a ``BENCH_*.json`` trajectory
 across builds.
 """
 
-import json
-import os
 import time
 
-from benchmarks.conftest import report_row
+from benchmarks.conftest import BenchRecorder, report_row
 from repro.storage import RelationalStore, fsck_store, resume_run
 from repro.workflow import Executor, FaultPlan, RetryPolicy
 from repro.workloads import wide_workflow
@@ -36,18 +34,8 @@ FAULTS = 10
 #: Acceptance bar: retried run within this factor of fault-free.
 MAX_OVERHEAD = 1.5
 
-_results = {}
-
-
-def _record(**fields) -> None:
-    """Accumulate measurements; mirror them to $BENCH_JSON when set."""
-    _results.update(fields)
-    path = os.environ.get("BENCH_JSON")
-    if path:
-        payload = {"experiment": "E14-faults", "modules": BRANCHES * DEPTH + 1,
-                   "faults": FAULTS, **_results}
-        with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+_record = BenchRecorder("E14-faults", modules=BRANCHES * DEPTH + 1,
+                        faults=FAULTS)
 
 
 def _timed(fn):

@@ -17,13 +17,11 @@ numbers are dumped there so CI can archive a ``BENCH_*.json`` trajectory
 across builds.
 """
 
-import json
-import os
 import time
 
 import pytest
 
-from benchmarks.conftest import report_row
+from benchmarks.conftest import BenchRecorder, report_row
 from repro.storage import (ProvQuery, ProvenanceStore, RelationalStore,
                            lineage_edges)
 from repro.workloads import derivation_chain_corpus
@@ -32,18 +30,7 @@ RUNS = 300
 STEPS = 4
 SIDES = 2
 
-_results = {}
-
-
-def _record(**fields) -> None:
-    """Accumulate measurements; mirror them to $BENCH_JSON when set."""
-    _results.update(fields)
-    path = os.environ.get("BENCH_JSON")
-    if path:
-        payload = {"experiment": "E14-lineage", "runs": RUNS,
-                   "steps": STEPS, **_results}
-        with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+_record = BenchRecorder("E14-lineage", runs=RUNS, steps=STEPS)
 
 
 def _best_of(fn, repeats=3):

@@ -31,13 +31,12 @@ numbers are dumped there so CI can archive a ``BENCH_*.json`` trajectory
 across builds.
 """
 
-import json
 import os
 import time
 
 import pytest
 
-from benchmarks.conftest import report_row
+from benchmarks.conftest import BenchRecorder, report_row
 from repro.core import ProvenanceManager
 from repro.workflow import (Executor, Module, PersistentResultCache,
                             Workflow)
@@ -53,18 +52,7 @@ SLEEP = 0.04
 #: pure-Python arithmetic that never releases the GIL).
 CPU_WORK = 1_200_000
 
-_results = {}
-
-
-def _record(**fields) -> None:
-    """Accumulate measurements; mirror them to $BENCH_JSON when set."""
-    _results.update(fields)
-    path = os.environ.get("BENCH_JSON")
-    if path:
-        payload = {"experiment": "E13-scheduler",
-                   "branches": BRANCHES, "depth": DEPTH, **_results}
-        with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+_record = BenchRecorder("E13-scheduler", branches=BRANCHES, depth=DEPTH)
 
 
 def _timed(fn):

@@ -26,12 +26,11 @@ numbers are dumped there so CI can archive a ``BENCH_*.json`` trajectory
 across builds.
 """
 
-import json
 import os
 import threading
 import time
 
-from benchmarks.conftest import report_row
+from benchmarks.conftest import BenchRecorder, report_row
 from repro.core import ProvenanceCapture
 from repro.service import (ProvenanceClient, ProvenanceService,
                            ShardedProvenanceStore)
@@ -51,19 +50,8 @@ DURATION = 1.5
 SHARD_COUNTS = (1, 4)
 MIN_SCALING = float(os.environ.get("BENCH_SERVICE_MIN_SCALING", "2.0"))
 
-_results = {}
-
-
-def _record(**fields) -> None:
-    """Accumulate measurements; mirror them to $BENCH_JSON when set."""
-    _results.update(fields)
-    path = os.environ.get("BENCH_JSON")
-    if path:
-        payload = {"experiment": "E15-service", "writers": WRITERS,
-                   "readers": READERS, "write_latency_s": WRITE_LATENCY,
-                   **_results}
-        with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+_record = BenchRecorder("E15-service", writers=WRITERS, readers=READERS,
+                        write_latency_s=WRITE_LATENCY)
 
 
 class _LatencyShardedStore(ShardedProvenanceStore):

@@ -8,6 +8,9 @@ pytest-benchmark timing statistics.
 
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
 
 from repro.workflow.modules import standard_registry
@@ -22,6 +25,28 @@ def report_row(experiment: str, **fields) -> None:
     line = f"[{experiment}] {rendered}"
     _rows.append(line)
     print(f"\n{line}")
+
+
+class BenchRecorder:
+    """Accumulate one benchmark module's measurements for ``BENCH_*.json``.
+
+    Each call merges its fields into the module's results.  When the
+    ``BENCH_JSON`` environment variable names a file, the fixed
+    ``header`` fields plus every result so far are rewritten there, so
+    CI can archive (and the repo commit) a trajectory across builds.
+    """
+
+    def __init__(self, experiment: str, **header) -> None:
+        self.header = {"experiment": experiment, **header}
+        self.results = {}
+
+    def __call__(self, **fields) -> None:
+        self.results.update(fields)
+        path = os.environ.get("BENCH_JSON")
+        if path:
+            with open(path, "w") as handle:
+                json.dump({**self.header, **self.results}, handle,
+                          indent=2, sort_keys=True)
 
 
 @pytest.fixture(scope="session")

@@ -36,7 +36,7 @@ import time
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.prospective import ProspectiveProvenance
 from repro.core.retrospective import (DataArtifact, ModuleExecution,
@@ -143,15 +143,18 @@ def run_from_result(result: RunResult, *,
     artifacts: Dict[str, DataArtifact] = {}
     values: Dict[str, Any] = {}
     by_hash: Dict[str, str] = {}
+    # every producer recorded per artifact (creator included), so the
+    # dedupe stays O(1) when a long chain keeps emitting one value
+    producers: Dict[str, Set[str]] = {}
 
     def artifact_for(value_hash: str, value: Any, type_name: str,
                      created_by: str, role: str) -> str:
         existing_id = by_hash.get(value_hash)
         if existing_id is not None:
-            existing = artifacts[existing_id]
-            if (created_by and created_by != existing.created_by
-                    and created_by not in existing.also_produced_by):
-                existing.also_produced_by.append(created_by)
+            seen = producers[existing_id]
+            if created_by and created_by not in seen:
+                seen.add(created_by)
+                artifacts[existing_id].also_produced_by.append(created_by)
             return existing_id
         artifact_id = new_id("art")
         artifacts[artifact_id] = DataArtifact(
@@ -159,6 +162,7 @@ def run_from_result(result: RunResult, *,
             created_by=created_by, role=role,
             size_hint=_size_hint(value))
         by_hash[value_hash] = artifact_id
+        producers[artifact_id] = {created_by}
         if keep_values:
             values[artifact_id] = value
         return artifact_id

@@ -163,9 +163,22 @@ def compute_replay_plan(run: WorkflowRun, *,
                    for a in touched if a in run.artifacts):
                 mark(execution.module_id, "invalidated-artifact")
 
+    # modules already inside a marked downstream cone; the cone of any of
+    # them is marked too, so a later walk stops there instead of
+    # re-walking it once per seed
+    closed: Set[str] = set()
+
     def close_downstream(seeds: Iterable[str]) -> None:
         for seed in list(seeds):
-            for downstream in workflow.downstream_modules(seed):
+            cone: Set[str] = set()
+            frontier = [seed]
+            while frontier:
+                for successor in workflow.successors(frontier.pop()):
+                    if successor not in closed and successor not in cone:
+                        cone.add(successor)
+                        frontier.append(successor)
+            closed.update(cone)
+            for downstream in sorted(cone):
                 mark(downstream, "upstream-stale")
 
     close_downstream(list(reasons))

@@ -488,8 +488,11 @@ class Executor:
             backend: per-call override of the executor's backend kind
                 (``"serial"``, ``"thread"`` or ``"process"``).
         """
-        external = {key: ValueRecord.of(value)
-                    for key, value in (inputs or {}).items()}
+        # external values grouped by module once, so gathering one
+        # module's inputs never walks every other module's bindings
+        external: Dict[str, Dict[str, ValueRecord]] = {}
+        for (module_id, port), value in (inputs or {}).items():
+            external.setdefault(module_id, {})[port] = ValueRecord.of(value)
         overrides = {module_id: dict(values) for module_id, values
                      in (parameter_overrides or {}).items()}
         reused = dict(reuse or {})
@@ -528,7 +531,7 @@ class Executor:
     # scheduling loop
     # ------------------------------------------------------------------
     def _run_scheduled(self, run_id: str, workflow: Workflow,
-                       external: Mapping[InputKey, ValueRecord],
+                       external: Mapping[str, Dict[str, ValueRecord]],
                        overrides: Mapping[str, Dict[str, Any]],
                        reused: Mapping[str, ReusedModule],
                        bypass_cache: set,
@@ -617,7 +620,7 @@ class Executor:
 
     def _dispatch(self, run_id: str, workflow: Workflow, module_id: str,
                   results: Dict[str, ModuleResult],
-                  external: Mapping[InputKey, ValueRecord],
+                  external: Mapping[str, Dict[str, ValueRecord]],
                   overrides: Mapping[str, Dict[str, Any]],
                   reused: Mapping[str, ReusedModule],
                   bypass_cache: set,
@@ -629,7 +632,7 @@ class Executor:
         parameters.update(overrides.get(module_id, {}))
 
         input_records, blocked = self._gather_inputs(
-            workflow, module, results, external)
+            workflow, module, results, external.get(module_id, {}))
         if blocked:
             settle(module_id, ModuleResult(
                 module_id=module_id, execution_id=new_id("exec"),
@@ -1007,7 +1010,7 @@ class Executor:
 
     # ------------------------------------------------------------------
     def _validate(self, workflow: Workflow,
-                  external: Mapping[InputKey, ValueRecord],
+                  external: Mapping[str, Dict[str, ValueRecord]],
                   reused: Mapping[str, ReusedModule]) -> None:
         issues = check_workflow(workflow, self.registry)
         errors = []
@@ -1019,9 +1022,9 @@ class Executor:
                     # reused modules never compute, so their unbound
                     # mandatory inputs are irrelevant
                     continue
-                bound_here = any(key[0] == issue.subject for key in external)
+                bound_here = external.get(issue.subject)
                 if bound_here and self._unbound_satisfied(
-                        workflow, issue.subject, external):
+                        workflow, issue.subject, bound_here):
                     continue
             errors.append(issue)
         if errors:
@@ -1029,14 +1032,14 @@ class Executor:
             raise ExecutionError(f"cannot execute workflow: {summary}")
 
     def _unbound_satisfied(self, workflow: Workflow, module_id: str,
-                           external: Mapping[InputKey, ValueRecord]) -> bool:
+                           bound: Mapping[str, ValueRecord]) -> bool:
         definition = self.registry.get(
             workflow.modules[module_id].type_name)
         connected = {c.target_port for c in workflow.incoming(module_id)}
         for port in definition.input_ports:
             if port.optional or port.name in connected:
                 continue
-            if (module_id, port.name) not in external:
+            if port.name not in bound:
                 return False
         return True
 
@@ -1133,9 +1136,12 @@ class Executor:
 
     def _gather_inputs(self, workflow: Workflow, module: Module,
                        results: Dict[str, ModuleResult],
-                       external: Mapping[InputKey, ValueRecord]
+                       external: Mapping[str, ValueRecord]
                        ) -> Tuple[Dict[str, ValueRecord], str]:
         """Resolve input port values; return (records, blocking_module_id).
+
+        ``external`` holds this module's externally bound values by port;
+        a connection feeding the same port wins over it.
 
         Connections are visited in target-port order, so the blocking
         module reported for a skip is deterministic regardless of which
@@ -1150,8 +1156,8 @@ class Executor:
                 return {}, connection.source_module
             records[connection.target_port] = (
                 upstream.outputs[connection.source_port])
-        for (module_id, port), record in external.items():
-            if module_id == module.id and port not in records:
+        for port, record in external.items():
+            if port not in records:
                 records[port] = record
         return records, ""
 

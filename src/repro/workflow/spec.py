@@ -13,8 +13,9 @@ the VisTrails change-based provenance model.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.identity import canonical_json, content_hash, new_id
 from repro.workflow.errors import CycleError, SpecError
@@ -65,6 +66,37 @@ class Connection:
         return (self.source_module, self.target_module)
 
 
+def _incoming_key(connection: Connection) -> str:
+    return connection.target_port
+
+
+def _outgoing_key(connection: Connection) -> Tuple[str, str]:
+    return (connection.source_port, connection.target_module)
+
+
+def _insort(found: List[Connection], connection: Connection,
+            key: Callable[[Connection], Any]) -> None:
+    """Insert after every entry whose key is <= ``connection``'s key.
+
+    That is where a stable sort of the insertion order puts it, so a
+    list kept by this function equals one rebuilt by ``sort(key=key)``.
+    """
+    rank = key(connection)
+    low, high = 0, len(found)
+    while low < high:
+        middle = (low + high) // 2
+        if rank < key(found[middle]):
+            high = middle
+        else:
+            low = middle + 1
+    found.insert(low, connection)
+
+
+#: (connections dict it was built from, its size then, incoming, outgoing)
+_Adjacency = Tuple[Dict[str, Connection], int,
+                   Dict[str, List[Connection]], Dict[str, List[Connection]]]
+
+
 class Workflow:
     """A mutable dataflow graph of module instances and connections.
 
@@ -72,6 +104,12 @@ class Workflow:
     referentially inconsistent (dangling connections, duplicate ids).  Static
     semantic checks (types, cycles, unbound mandatory ports) live in
     :mod:`repro.workflow.validation`.
+
+    Graph queries are served from per-module incoming/outgoing connection
+    lists, so they cost O(degree) instead of a scan of every connection.
+    The lists are built lazily and kept current by the mutators; a write
+    straight into :attr:`connections` that changes its size (or a new
+    ``connections`` dict) makes the next query rebuild them.
     """
 
     def __init__(self, name: str = "workflow",
@@ -80,6 +118,7 @@ class Workflow:
         self.name = name
         self.modules: Dict[str, Module] = {}
         self.connections: Dict[str, Connection] = {}
+        self._adjacency_cache: Optional[_Adjacency] = None
 
     # ------------------------------------------------------------------
     # mutation
@@ -94,9 +133,10 @@ class Workflow:
     def remove_module(self, module_id: str) -> Module:
         """Remove a module that has no attached connections."""
         module = self._require_module(module_id)
-        attached = [c.id for c in self.connections.values()
-                    if module_id in c.endpoints()]
-        if attached:
+        incoming, outgoing = self._adjacency()
+        if incoming.get(module_id) or outgoing.get(module_id):
+            attached = [c.id for c in self.connections.values()
+                        if module_id in c.endpoints()]
             raise SpecError(
                 f"module {module_id} still has connections: {attached}")
         del self.modules[module_id]
@@ -110,6 +150,7 @@ class Workflow:
                    if module_id in c.endpoints()]
         for connection in removed:
             del self.connections[connection.id]
+        self._adjacency_cache = None
         module = self.modules.pop(module_id)
         return module, removed
 
@@ -119,20 +160,32 @@ class Workflow:
             raise SpecError(f"duplicate connection id: {connection.id}")
         self._require_module(connection.source_module)
         self._require_module(connection.target_module)
-        for existing in self.connections.values():
-            if (existing.target_module == connection.target_module
-                    and existing.target_port == connection.target_port):
+        incoming, outgoing = self._adjacency()
+        for existing in incoming.get(connection.target_module, ()):
+            if existing.target_port == connection.target_port:
                 raise SpecError(
                     "input port already bound: "
                     f"{connection.target_module}.{connection.target_port}")
         self.connections[connection.id] = connection
+        _insort(incoming.setdefault(connection.target_module, []),
+                connection, _incoming_key)
+        _insort(outgoing.setdefault(connection.source_module, []),
+                connection, _outgoing_key)
+        self._adjacency_cache = (self.connections, len(self.connections),
+                                 incoming, outgoing)
         return connection
 
     def remove_connection(self, connection_id: str) -> Connection:
         """Remove the connection with ``connection_id`` and return it."""
         if connection_id not in self.connections:
             raise SpecError(f"no such connection: {connection_id}")
-        return self.connections.pop(connection_id)
+        incoming, outgoing = self._adjacency()
+        connection = self.connections.pop(connection_id)
+        incoming[connection.target_module].remove(connection)
+        outgoing[connection.source_module].remove(connection)
+        self._adjacency_cache = (self.connections, len(self.connections),
+                                 incoming, outgoing)
+        return connection
 
     def connect(self, source_module: str, source_port: str,
                 target_module: str, target_port: str) -> Connection:
@@ -165,25 +218,54 @@ class Workflow:
             raise SpecError(f"no such module: {module_id}")
         return self.modules[module_id]
 
+    def _adjacency(self) -> Tuple[Dict[str, List[Connection]],
+                                  Dict[str, List[Connection]]]:
+        """Per-module (incoming, outgoing) connection lists, kept sorted.
+
+        Rebuilt from :attr:`connections` when they were never built, when
+        ``connections`` was replaced, or when its size differs from the
+        size they were built at (a direct write into the dict).  A direct
+        write that keeps the size (replacing an existing key) goes
+        unnoticed; use the mutators for that.  The whole index is
+        published as one tuple, so a concurrent reader sees either the
+        old index or the complete new one.
+        """
+        cache = self._adjacency_cache
+        if (cache is None or cache[0] is not self.connections
+                or cache[1] != len(self.connections)):
+            incoming: Dict[str, List[Connection]] = {}
+            outgoing: Dict[str, List[Connection]] = {}
+            for connection in self.connections.values():
+                incoming.setdefault(connection.target_module,
+                                    []).append(connection)
+                outgoing.setdefault(connection.source_module,
+                                    []).append(connection)
+            for found in incoming.values():
+                found.sort(key=_incoming_key)
+            for found in outgoing.values():
+                found.sort(key=_outgoing_key)
+            cache = (self.connections, len(self.connections),
+                     incoming, outgoing)
+            self._adjacency_cache = cache
+        return cache[2], cache[3]
+
     def incoming(self, module_id: str) -> List[Connection]:
         """Connections whose target is ``module_id``, sorted by port name."""
-        found = [c for c in self.connections.values()
-                 if c.target_module == module_id]
-        return sorted(found, key=lambda c: c.target_port)
+        return list(self._adjacency()[0].get(module_id, ()))
 
     def outgoing(self, module_id: str) -> List[Connection]:
         """Connections whose source is ``module_id``, sorted by port name."""
-        found = [c for c in self.connections.values()
-                 if c.source_module == module_id]
-        return sorted(found, key=lambda c: (c.source_port, c.target_module))
+        return list(self._adjacency()[1].get(module_id, ()))
 
     def predecessors(self, module_id: str) -> List[str]:
         """Distinct upstream neighbour module ids (sorted)."""
-        return sorted({c.source_module for c in self.incoming(module_id)})
+        return sorted({c.source_module
+                       for c in self._adjacency()[0].get(module_id, ())})
 
     def successors(self, module_id: str) -> List[str]:
         """Distinct downstream neighbour module ids (sorted)."""
-        return sorted({c.target_module for c in self.outgoing(module_id)})
+        return sorted({c.target_module
+                       for c in self._adjacency()[1].get(module_id, ())})
 
     def sources(self) -> List[str]:
         """Module ids with no incoming connections (sorted)."""
@@ -198,25 +280,25 @@ class Workflow:
     def topological_order(self) -> List[str]:
         """Kahn topological order of module ids, deterministic by id.
 
-        Raises :class:`CycleError` when the graph has a cycle.
+        Among the modules ready at each step the smallest id goes first;
+        a heap keeps that choice O(log V), so the whole order costs
+        O((V + E) log V).  Raises :class:`CycleError` when the graph has
+        a cycle.
         """
         # in-degree counts distinct predecessors: two connections between
         # the same module pair (e.g. image + header) are one dependency
         in_degree = {module_id: len(self.predecessors(module_id))
                      for module_id in self.modules}
-        ready = sorted(m for m, d in in_degree.items() if d == 0)
+        ready = [m for m, d in in_degree.items() if d == 0]
+        heapq.heapify(ready)
         order: List[str] = []
         while ready:
-            current = ready.pop(0)
+            current = heapq.heappop(ready)
             order.append(current)
             for successor in self.successors(current):
                 in_degree[successor] -= 1
                 if in_degree[successor] == 0:
-                    # insertion keeps `ready` sorted for determinism
-                    index = 0
-                    while index < len(ready) and ready[index] < successor:
-                        index += 1
-                    ready.insert(index, successor)
+                    heapq.heappush(ready, successor)
         if len(order) != len(self.modules):
             stuck = sorted(m for m, d in in_degree.items() if d > 0)
             raise CycleError(f"workflow contains a cycle through: {stuck}")

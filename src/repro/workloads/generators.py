@@ -85,20 +85,19 @@ def random_workflow(modules: int = 20, *, width: int = 4, seed: int = 0,
     """
     rng = random.Random(seed)
     workflow = Workflow(name or f"random-{modules}-{seed}")
-    layers: List[List[Module]] = [[]]
+    # every module of the finished layers, in placement order
+    upstream_pool: List[Module] = []
     for index in range(width):
         module = workflow.add_module(Module(
             "NumberConstant", name=f"src{index}",
             parameters={"value": float(rng.randint(1, 100))}))
-        layers[0].append(module)
+        upstream_pool.append(module)
     placed = width
     layer_index = 0
     while placed < modules:
         layer_index += 1
         layer: List[Module] = []
         for position in range(min(width, modules - placed)):
-            upstream_pool = [module for layer_modules in layers
-                             for module in layer_modules]
             if rng.random() < fanin_prob:
                 module = workflow.add_module(Module(
                     "Add", name=f"add-{layer_index}-{position}"))
@@ -123,7 +122,7 @@ def random_workflow(modules: int = 20, *, width: int = 4, seed: int = 0,
                                  module.id, "value")
             layer.append(module)
             placed += 1
-        layers.append(layer)
+        upstream_pool.extend(layer)
     return workflow
 
 

@@ -74,6 +74,28 @@ class TestRunFromResult:
         assert roles == {"image", "header"}
         assert len(finals) == 3
 
+    def test_equal_outputs_record_each_later_producer_once(self, registry):
+        # every stage of an Identity chain re-emits the source's value
+        workflow = Workflow("same-hash")
+        previous = workflow.add_module(Module(
+            "NumberConstant", parameters={"value": 7.0}))
+        for index in range(30):
+            stage = workflow.add_module(Module("Identity",
+                                               name=f"id{index:02d}"))
+            workflow.connect(previous.id, "value", stage.id, "value")
+            previous = stage
+        result = Executor(registry).execute(workflow)
+        for module_id in result.order[1:]:
+            # a second port with the same value: one producer, twice
+            outputs = result.results[module_id].outputs
+            outputs["copy"] = outputs["value"]
+        run = run_from_result(result, registry=registry)
+        produced = [a for a in run.artifacts.values() if a.created_by]
+        assert len(produced) == 1
+        executions = [result.results[m].execution_id for m in result.order]
+        assert produced[0].created_by == executions[0]
+        assert produced[0].also_produced_by == executions[1:]
+
     def test_roundtrip_to_dict(self, fig1_run):
         _, run = fig1_run
         restored = WorkflowRun.from_dict(run.to_dict())
