@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.identity import canonical_json, content_hash, new_id
 from repro.workflow.errors import CycleError, SpecError
@@ -72,24 +72,6 @@ def _incoming_key(connection: Connection) -> str:
 
 def _outgoing_key(connection: Connection) -> Tuple[str, str]:
     return (connection.source_port, connection.target_module)
-
-
-def _insort(found: List[Connection], connection: Connection,
-            key: Callable[[Connection], Any]) -> None:
-    """Insert after every entry whose key is <= ``connection``'s key.
-
-    That is where a stable sort of the insertion order puts it, so a
-    list kept by this function equals one rebuilt by ``sort(key=key)``.
-    """
-    rank = key(connection)
-    low, high = 0, len(found)
-    while low < high:
-        middle = (low + high) // 2
-        if rank < key(found[middle]):
-            high = middle
-        else:
-            low = middle + 1
-    found.insert(low, connection)
 
 
 #: (connections dict it was built from, its size then, incoming, outgoing)
@@ -167,10 +149,8 @@ class Workflow:
                     "input port already bound: "
                     f"{connection.target_module}.{connection.target_port}")
         self.connections[connection.id] = connection
-        _insort(incoming.setdefault(connection.target_module, []),
-                connection, _incoming_key)
-        _insort(outgoing.setdefault(connection.source_module, []),
-                connection, _outgoing_key)
+        incoming.setdefault(connection.target_module, []).append(connection)
+        outgoing.setdefault(connection.source_module, []).append(connection)
         self._adjacency_cache = (self.connections, len(self.connections),
                                  incoming, outgoing)
         return connection
@@ -220,7 +200,7 @@ class Workflow:
 
     def _adjacency(self) -> Tuple[Dict[str, List[Connection]],
                                   Dict[str, List[Connection]]]:
-        """Per-module (incoming, outgoing) connection lists, kept sorted.
+        """Per-module (incoming, outgoing) connection lists, in dict order.
 
         Rebuilt from :attr:`connections` when they were never built, when
         ``connections`` was replaced, or when its size differs from the
@@ -240,10 +220,6 @@ class Workflow:
                                     []).append(connection)
                 outgoing.setdefault(connection.source_module,
                                     []).append(connection)
-            for found in incoming.values():
-                found.sort(key=_incoming_key)
-            for found in outgoing.values():
-                found.sort(key=_outgoing_key)
             cache = (self.connections, len(self.connections),
                      incoming, outgoing)
             self._adjacency_cache = cache
@@ -251,11 +227,13 @@ class Workflow:
 
     def incoming(self, module_id: str) -> List[Connection]:
         """Connections whose target is ``module_id``, sorted by port name."""
-        return list(self._adjacency()[0].get(module_id, ()))
+        return sorted(self._adjacency()[0].get(module_id, ()),
+                      key=_incoming_key)
 
     def outgoing(self, module_id: str) -> List[Connection]:
         """Connections whose source is ``module_id``, sorted by port name."""
-        return list(self._adjacency()[1].get(module_id, ()))
+        return sorted(self._adjacency()[1].get(module_id, ()),
+                      key=_outgoing_key)
 
     def predecessors(self, module_id: str) -> List[str]:
         """Distinct upstream neighbour module ids (sorted)."""

@@ -169,6 +169,11 @@ def apply_edit(workflow: Workflow, rank: dict, edit, serial: int
         if source == target:
             return workflow
         if kind == "direct_add":
+            if any(c.target_module == target and c.target_port == target_port
+                   for c in workflow.connections.values()):
+                # a doubly bound port would make a later round trip,
+                # which re-adds through add_connection, refuse the graph
+                return workflow
             # a back edge is allowed here: both sides must see the cycle
             workflow.connections[f"direct-{serial}"] = Connection(
                 source, source_port, target, target_port,
