@@ -102,6 +102,7 @@ class ProvenanceService:
         self._locks = [threading.RLock() for _ in self._shards]
         self._inflight: Dict[str, str] = {}  # run_id -> stream id
         self._inflight_lock = threading.Lock()
+        self._streams_begun = 0  # bumped under _inflight_lock
         self._stats_lock = threading.Lock()
         self._counters = {"requests": 0, "errors": 0, "rows_served": 0,
                           "runs_ingested": 0, "stream_batches": 0,
@@ -207,9 +208,22 @@ class ProvenanceService:
             self._counters[name] += amount
 
     # -- in-flight masking ------------------------------------------------
-    def _inflight_ids(self) -> Set[str]:
-        with self._inflight_lock:
-            return set(self._inflight)
+    def _masked_read(self, read: Callable[[Set[str]], Any]) -> Any:
+        """Return ``read(inflight)`` for a mask no stream slipped past.
+
+        ``inflight`` is the set of runs being streamed when the read
+        starts.  A stream that begins after that and flushes before the
+        read takes its snapshot would show half a run, so the read is
+        repeated until no stream began while it ran.
+        """
+        while True:
+            with self._inflight_lock:
+                inflight = set(self._inflight)
+                began = self._streams_begun
+            result = read(inflight)
+            with self._inflight_lock:
+                if self._streams_begun == began:
+                    return result
 
     def _masked_query(self, query: ProvQuery,
                       inflight: Set[str]) -> ProvQuery:
@@ -398,75 +412,94 @@ class ProvenanceService:
     def _op_select(self, message: Dict[str, Any], streams: Any
                    ) -> Dict[str, Any]:
         query = ProvQuery.from_dict(message.get("query"))
-        query = self._masked_query(query, self._inflight_ids())
-        with self._read_view() as store:
-            rows = store.select(query).all()
+
+        def read(inflight: Set[str]) -> List[Dict[str, Any]]:
+            with self._read_view() as store:
+                return store.select(
+                    self._masked_query(query, inflight)).all()
+
+        rows = self._masked_read(read)
         self._bump("rows_served", len(rows))
         return {"rows": rows}
 
     def _op_lineage(self, message: Dict[str, Any], streams: Any
                     ) -> Dict[str, Any]:
-        within_runs = message.get("within_runs")
-        inflight = self._inflight_ids()
-        with self._read_view() as store:
-            if inflight:
-                # mask in-flight runs exactly like the row queries do:
-                # restrict the traversal to edges recorded by committed
-                # runs, so a mid-stream ingest contributes nothing until
-                # its `finish` makes the whole run visible atomically
-                allowed = {s.run_id for s in store.list_runs()} - inflight
-                if within_runs is not None:
-                    allowed &= set(within_runs)
-                within_runs = sorted(allowed)
-            nodes = store.lineage_closure(
-                message["key"], direction=message.get("direction", "up"),
-                max_depth=message.get("max_depth"),
-                within_runs=within_runs)
-        return {"nodes": sorted(nodes)}
+
+        def read(inflight: Set[str]) -> Set[str]:
+            within_runs = message.get("within_runs")
+            with self._read_view() as store:
+                if inflight:
+                    # mask in-flight runs exactly like the row queries do:
+                    # restrict the traversal to edges recorded by committed
+                    # runs, so a mid-stream ingest contributes nothing
+                    # until its `finish` makes the whole run visible
+                    allowed = {s.run_id for s in store.list_runs()} - inflight
+                    if within_runs is not None:
+                        allowed &= set(within_runs)
+                    within_runs = sorted(allowed)
+                return store.lineage_closure(
+                    message["key"], direction=message.get("direction", "up"),
+                    max_depth=message.get("max_depth"),
+                    within_runs=within_runs)
+
+        return {"nodes": sorted(self._masked_read(read))}
 
     def _op_list_runs(self, message: Dict[str, Any], streams: Any
                       ) -> Dict[str, Any]:
-        inflight = self._inflight_ids()
-        with self._read_view() as store:
-            summaries = store.list_runs()
+
+        def read(inflight: Set[str]) -> List[Any]:
+            with self._read_view() as store:
+                return [s for s in store.list_runs()
+                        if s.run_id not in inflight]
+
         return {"runs": [
             {"run_id": s.run_id, "workflow_id": s.workflow_id,
              "workflow_name": s.workflow_name, "status": s.status,
              "started": s.started, "finished": s.finished}
-            for s in summaries if s.run_id not in inflight]}
+            for s in self._masked_read(read)]}
 
     def _op_load_run(self, message: Dict[str, Any], streams: Any
                      ) -> Dict[str, Any]:
         run_id = message["run_id"]
-        if run_id in self._inflight_ids():
-            raise StoreError(f"no such run: {run_id!r} (ingest in flight)")
-        with self._read_view() as store:
-            run = store.load_run(run_id)
-        return {"run": run.to_dict()}
+
+        def read(inflight: Set[str]) -> WorkflowRun:
+            if run_id in inflight:
+                raise StoreError(
+                    f"no such run: {run_id!r} (ingest in flight)")
+            with self._read_view() as store:
+                return store.load_run(run_id)
+
+        return {"run": self._masked_read(read).to_dict()}
 
     def _op_load_runs(self, message: Dict[str, Any], streams: Any
                       ) -> Dict[str, Any]:
-        run_ids = message.get("run_ids")
-        inflight = self._inflight_ids()
-        with self._read_view() as store:
-            if run_ids is None:
-                run_ids = [s.run_id for s in store.list_runs()
-                           if s.run_id not in inflight]
-            else:
-                for run_id in run_ids:
-                    if run_id in inflight:
-                        raise StoreError(f"no such run: {run_id!r} "
-                                         "(ingest in flight)")
-            runs = store.load_runs(run_ids)
-        return {"runs": [run.to_dict() for run in runs]}
+
+        def read(inflight: Set[str]) -> List[WorkflowRun]:
+            run_ids = message.get("run_ids")
+            with self._read_view() as store:
+                if run_ids is None:
+                    run_ids = [s.run_id for s in store.list_runs()
+                               if s.run_id not in inflight]
+                else:
+                    for run_id in run_ids:
+                        if run_id in inflight:
+                            raise StoreError(f"no such run: {run_id!r} "
+                                             "(ingest in flight)")
+                return store.load_runs(run_ids)
+
+        return {"runs": [run.to_dict() for run in self._masked_read(read)]}
 
     def _op_has_run(self, message: Dict[str, Any], streams: Any
                     ) -> Dict[str, Any]:
         run_id = message["run_id"]
-        if run_id in self._inflight_ids():
-            return {"has_run": False}
-        with self._read_view() as store:
-            return {"has_run": store.has_run(run_id)}
+
+        def read(inflight: Set[str]) -> bool:
+            if run_id in inflight:
+                return False
+            with self._read_view() as store:
+                return store.has_run(run_id)
+
+        return {"has_run": self._masked_read(read)}
 
     # -- ops: run writes ---------------------------------------------------
     def _op_save_run(self, message: Dict[str, Any], streams: Any
@@ -512,6 +545,7 @@ class ProvenanceService:
                 raise StoreError(
                     f"too many open ingest streams (max {self.max_streams})")
             self._inflight[run_id] = "pending"
+            self._streams_begun += 1
         shard_index = self._shard_index(run_id)
         try:
             with self._locks[shard_index]:

@@ -24,6 +24,7 @@ crashes, partial output, and abandoned sessions — each ending in a
 import json
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -410,6 +411,47 @@ class TestMixedTrafficStress:
                           tags=run.tags)
             assert observe.has_run(run.id)
             assert fingerprint(observe.load_run(run.id)) == fingerprint(run)
+        finally:
+            ingest.close()
+            observe.close()
+
+    def test_stream_begun_during_a_read_stays_masked(self, service,
+                                                     corpus, monkeypatch):
+        """A stream that begins after a reader took its in-flight mask,
+        and flushes before the reader's snapshot, must not show half a
+        run: the read is repeated with the new mask."""
+        run = clone_run(corpus[0], "mid-read")
+        ingest, observe = connect(service), connect(service)
+        open_view = service._read_view
+        views = []
+        writers = []
+
+        @contextmanager
+        def racing_view():
+            views.append(1)
+            if not writers:
+                # a writer slips in between the mask and the snapshot
+                writer = ingest.save_run_stream(run)
+                for execution in run.executions[:2]:
+                    writer.add_execution(execution)
+                writer.flush()
+                writers.append(writer)
+            with open_view() as store:
+                yield store
+
+        monkeypatch.setattr(service, "_read_view", racing_view)
+        try:
+            rows = observe.select(ProvQuery.executions().where(
+                run_id=run.id)).all()
+            assert rows == []
+            assert len(views) == 2  # the first read was thrown away
+            writer = writers[0]
+            for execution in run.executions[2:]:
+                writer.add_execution(execution)
+            writer.finish(status=run.status, finished=run.finished,
+                          tags=run.tags)
+            assert len(observe.select(ProvQuery.executions().where(
+                run_id=run.id)).all()) == len(run.executions)
         finally:
             ingest.close()
             observe.close()
