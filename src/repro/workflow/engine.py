@@ -41,15 +41,15 @@ from repro.workflow.cache import (DEFAULT_LEASE_TTL, CacheEntry,
                                   module_cache_key)
 from repro.workflow.environment import capture_environment
 from repro.workflow.errors import ExecutionError
-from repro.workflow.faults import (FaultInjected, FaultPlan, RetryPolicy,
-                                   resolve_retry)
+from repro.workflow.faults import (FaultInjected, FaultPlan, FaultSpec,
+                                   RetryPolicy, resolve_retry)
 from repro.workflow.registry import ModuleContext, ModuleRegistry
 from repro.workflow.scheduler import (ReadySetScheduler, SerialBackend,
                                       make_backend)
 from repro.workflow.serialization import (DEFAULT_REGISTRY_PROVIDER,
                                           DEFAULT_SPILL_THRESHOLD,
-                                          ProcessJob, maybe_spill,
-                                          resolve_spilled)
+                                          ProcessJob, ProcessOutcome,
+                                          maybe_spill, resolve_spilled)
 from repro.workflow.spec import Module, Workflow
 from repro.workflow.validation import check_workflow
 
@@ -104,8 +104,8 @@ class ReusedModule:
 
 
 @dataclass
-class _PendingProcessJob:
-    """Coordinator-side state of one module executing out of process.
+class _Attempt:
+    """Coordinator-side state of one module computing on any backend.
 
     Mutable: retries update the attempt counter, accumulated failed
     attempts, worker-loss count and per-attempt deadline in place while
@@ -117,18 +117,20 @@ class _PendingProcessJob:
     parameters: Dict[str, Any]
     inputs: Dict[str, ValueRecord]
     cache_key: str
-    #: lease token held on ``cache_key`` while the worker computes;
+    #: lease token held on ``cache_key`` while the module computes;
     #: released when the module settles ("" when no lease was taken).
-    lease_owner: str = ""
-    #: the picklable payload, kept for re-dispatch on retry.
-    job: Optional[ProcessJob] = None
+    lease_owner: str
     #: effective retry policy for this module's type.
-    policy: RetryPolicy = field(default_factory=RetryPolicy)
+    policy: RetryPolicy
+    #: the picklable payload on the process backend, kept for
+    #: re-dispatch on retry (None on in-process backends).
+    job: Optional[ProcessJob] = None
     #: 1-based attempt currently in flight.
     attempt: int = 1
     #: failed attempts recorded so far (attempt-tagged ModuleResults).
     failures: List["ModuleResult"] = field(default_factory=list)
-    #: monotonic deadline of the in-flight attempt (None = no timeout).
+    #: monotonic deadline of the in-flight process attempt, enforced by
+    #: deadline-kill (None = no timeout, or an in-process attempt).
     deadline: Optional[float] = None
     #: times this module's job was lost to a dead/restarted worker.
     worker_losses: int = 0
@@ -267,8 +269,6 @@ class Executor:
             modules are memoized across runs.  The cache is thread-safe, so
             one cache may serve parallel runs.
         listeners: observers notified of every execution event.
-        clock: callable returning the current wall time (injectable for
-            deterministic tests).
         validate: when True (default), specifications are statically checked
             before running; unbound ports satisfied by external inputs (or
             belonging to reused modules) are allowed.
@@ -325,7 +325,6 @@ class Executor:
     def __init__(self, registry: ModuleRegistry, *,
                  cache: Optional[CacheStore] = None,
                  listeners: Iterable[ExecutionListener] = (),
-                 clock: Callable[[], float] = time.time,
                  validate: bool = True,
                  workers: Optional[int] = None,
                  backend: Optional[str] = None,
@@ -339,7 +338,6 @@ class Executor:
         self.fault_plan = fault_plan
         self.listeners: List[ExecutionListener] = list(listeners)
         self._rebuild_dispatch()
-        self.clock = clock
         self.validate = validate
         self.workers = workers
         self.backend = backend
@@ -506,7 +504,7 @@ class Executor:
         run_id = new_id("run")
         environment = self.environment()
         run_tags = dict(tags or {})
-        started = self.clock()
+        started = time.time()
         self._notify("on_run_start", run_id, workflow, environment, run_tags)
 
         # Raises CycleError up front; also the canonical result order.
@@ -517,7 +515,7 @@ class Executor:
             workers if workers is not None else self.workers,
             backend if backend is not None else self.backend)
 
-        finished = self.clock()
+        finished = time.time()
         status = ("failed" if any(r.status == "failed"
                                   for r in results.values()) else "ok")
         run = RunResult(run_id=run_id, workflow=workflow, status=status,
@@ -546,9 +544,9 @@ class Executor:
         # parallel runs dispatch whole ready batches for concurrency.
         one_at_a_time = isinstance(backend, SerialBackend)
         results: Dict[str, ModuleResult] = {}
-        # per-module state a process job needs back in this process to be
-        # converted into a ModuleResult (definition, inputs, cache key)
-        pending: Dict[str, _PendingProcessJob] = {}
+        # modules submitted but not yet settled, with everything needed
+        # to judge their outcome (definition, inputs, cache key, lease)
+        pending: Dict[str, _Attempt] = {}
         # large process-job values spill here instead of the executor
         # pipe; the whole directory is torn down with the run
         spill_dir = ""
@@ -561,23 +559,25 @@ class Executor:
                          workflow.modules[module_id], result)
             scheduler.resolve(module_id)
 
-        def harvest(module_id: str, completion: Any) -> None:
-            if backend.out_of_process:
-                converted = self._process_attempt(
-                    pending[module_id], completion, backend)
-                if converted is None:
-                    return  # re-dispatched for another attempt
-                pending.pop(module_id)
-                completion = converted
-            settle(module_id, completion)
+        def harvest(module_id: str, outcome: ProcessOutcome) -> None:
+            result = self._judge(pending[module_id], outcome, backend)
+            if result is None:
+                return  # re-dispatched for another attempt
+            del pending[module_id]
+            settle(module_id, result)
 
         def drain() -> None:
             # harvest whatever is done right now without blocking — also
             # called while a dispatch waits on another run's cache lease,
             # so our own completions keep publishing (no two runs can
             # deadlock waiting on each other's unharvested results)
-            for done_id, completion in backend.poll():
-                harvest(done_id, completion)
+            completions = backend.poll()
+            while completions:
+                for done_id, outcome in completions:
+                    harvest(done_id, outcome)
+                # the serial backend runs a retry inside the harvest that
+                # submits it; it must settle before the next module starts
+                completions = backend.poll() if one_at_a_time else ()
 
         try:
             while not scheduler.finished():
@@ -588,9 +588,8 @@ class Executor:
                             f"{scheduler.unresolved()}")
                     slack = (self._deadline_slack(pending)
                              if backend.out_of_process else None)
-                    for module_id, completion in backend.wait(
-                            timeout=slack):
-                        harvest(module_id, completion)
+                    for module_id, outcome in backend.wait(timeout=slack):
+                        harvest(module_id, outcome)
                     if backend.out_of_process:
                         self._enforce_deadlines(pending, backend, harvest)
                     continue
@@ -610,10 +609,10 @@ class Executor:
             # an abnormal unwind (listener exception, interrupt) can
             # leave harvested-never jobs in pending; give their leases
             # back now instead of making waiters ride out the TTL
-            for job in pending.values():
-                if job.lease_owner and self.cache is not None:
-                    self._release_lease(self.cache, job.cache_key,
-                                        job.lease_owner)
+            for attempt in pending.values():
+                if attempt.lease_owner and self.cache is not None:
+                    self._release_lease(self.cache, attempt.cache_key,
+                                        attempt.lease_owner)
             if spill_dir:
                 shutil.rmtree(spill_dir, ignore_errors=True)
         return results
@@ -625,7 +624,15 @@ class Executor:
                   reused: Mapping[str, ReusedModule],
                   bypass_cache: set,
                   backend, settle, pending, drain, spill_dir) -> None:
-        """Decide what a ready module does: skip, reuse, or compute."""
+        """Decide what a ready module does: skip, reuse, replay a cache
+        entry, or compute.
+
+        Workers never see the memo cache.  On a miss against a
+        lease-capable cache a per-key compute lease is claimed first;
+        losing the claim means another run (or an earlier module of this
+        one) is computing this causal signature, so this module waits
+        and replays the published entry as a ``"cached"`` result.
+        """
         module = workflow.modules[module_id]
         definition = self.registry.get(module.type_name)
         parameters = definition.resolve_parameters(module.parameters)
@@ -645,7 +652,7 @@ class Executor:
             # same event contract as a memo-cache hit: start then a
             # "cached" finish, so listeners always see balanced pairs
             self._notify("on_module_start", run_id, module, parameters)
-            now = self.clock()
+            now = time.time()
             settle(module_id, ModuleResult(
                 module_id=module_id, execution_id=new_id("exec"),
                 status="cached",
@@ -658,24 +665,45 @@ class Executor:
             return
 
         self._notify("on_module_start", run_id, module, parameters)
-        consult_cache = module_id not in bypass_cache
+        input_hashes = {port: record.value_hash
+                        for port, record in input_records.items()}
+        cache_key = module_cache_key(definition.type_name,
+                                     definition.version, parameters,
+                                     input_hashes)
+        lease_owner = ""
+        if (module_id not in bypass_cache and self.cache is not None
+                and definition.deterministic):
+            entry = self.cache.get(cache_key)
+            if entry is None and self.cache.supports_leases:
+                entry, lease_owner = self._lease_or_wait(cache_key, drain)
+                self._maybe_steal_lease(cache_key, lease_owner)
+            if entry is not None:
+                settle(module_id, self._cached_result(
+                    module_id, parameters, input_records, cache_key, entry))
+                return
+        # positional: keyword construction costs twice as much, and this
+        # runs once per computed module
+        attempt = _Attempt(module, definition, parameters, input_records,
+                           cache_key, lease_owner,
+                           resolve_retry(self.retry, definition.type_name))
         if backend.out_of_process:
-            hit = self._dispatch_process(module, definition, parameters,
-                                         input_records, consult_cache,
-                                         backend, pending, drain,
-                                         spill_dir)
-            if hit is not None:
-                settle(module_id, hit)
-            return
-        backend.submit(module_id, self._make_job(
-            module, definition, parameters, input_records,
-            consult_cache=consult_cache))
+            threshold = self.payload_spill_threshold if spill_dir else 0
+            attempt.job = ProcessJob(
+                module_id=module_id, module_name=module.name,
+                type_name=definition.type_name, parameters=parameters,
+                inputs={port: maybe_spill(record.value, threshold,
+                                          spill_dir)
+                        for port, record in input_records.items()},
+                registry_provider=self.registry_provider,
+                spill_dir=spill_dir, spill_threshold=threshold)
+        pending[module_id] = attempt
+        self._submit(attempt, backend)
 
     def _cached_result(self, module_id: str, parameters: Dict[str, Any],
                        input_records: Dict[str, ValueRecord],
                        cache_key: str, entry: CacheEntry) -> ModuleResult:
         """A ``"cached"`` result replaying a published cache entry."""
-        now = self.clock()
+        now = time.time()
         return ModuleResult(
             module_id=module_id, execution_id=new_id("exec"),
             status="cached", parameters=parameters,
@@ -686,17 +714,17 @@ class Executor:
             started=now, finished=now, cache_key=cache_key,
             cached_from=entry.source_execution)
 
-    def _lease_or_wait(self, cache_key: str,
-                       drain: Optional[Callable[[], None]] = None):
+    def _lease_or_wait(self, cache_key: str, drain: Callable[[], None]
+                       ) -> Tuple[Optional[CacheEntry], str]:
         """Claim the right to compute ``cache_key``, or wait it out.
 
-        Returns ``("compute", owner)`` when this caller holds the lease
-        and must compute (then release), or ``("cached", entry)`` when a
-        concurrent holder published the result first.  With ``drain``
-        given (the process-backend path, where this runs on the
-        coordinating thread), waiting is sliced so our own completed jobs
-        keep harvesting — two runs waiting on each other's keys always
-        make progress.
+        Returns ``(None, owner)`` when this caller holds the lease and
+        must compute (then release), or ``(entry, "")`` when a concurrent
+        holder published the result first.  Waiting is sliced so our own
+        completed jobs keep harvesting through ``drain`` — two runs
+        waiting on each other's keys always make progress, and a lease
+        held by an earlier module of this run is released once that
+        module's outcome is harvested.
         """
         cache = self.cache
         owner = new_id("lease")
@@ -707,92 +735,93 @@ class Executor:
                     entry = cache.get(cache_key)
                     cache.release_lease(cache_key, owner)
                     if entry is not None:
-                        return "cached", entry
+                        return entry, ""
                     continue
                 self._register_lease(cache, cache_key, owner)
-                return "compute", owner
-            entry = cache.wait_for_entry(
-                cache_key, timeout=0.05 if drain is not None else None)
+                return None, owner
+            entry = cache.wait_for_entry(cache_key, timeout=0.05)
             if entry is not None:
-                return "cached", entry
-            if drain is not None:
-                drain()
+                return entry, ""
+            drain()
 
-    def _dispatch_process(self, module: Module, definition,
-                          parameters: Dict[str, Any],
-                          input_records: Dict[str, ValueRecord],
-                          consult_cache: bool, backend,
-                          pending, drain,
-                          spill_dir: str) -> Optional[ModuleResult]:
-        """Submit one module to a process backend; returns a ready result
-        instead when the memo cache already holds it (or a concurrent
-        lease-holding run publishes it while we wait).
+    def _submit(self, attempt: _Attempt, backend,
+                delay: float = 0.0) -> None:
+        """(Re)submit one attempt, drawing its planned fault once.
 
-        The cache is consulted (and later refreshed) in the coordinating
-        process — worker processes never see the cache; concurrent *runs*
-        sharing one persistent cache file coordinate through its lease
-        table, all on their own coordinating threads.
+        The process backend gets the :class:`ProcessJob` stamped with the
+        fault and a deadline armed for deadline-kill; in-process backends
+        get :meth:`_run_in_process`, which also sleeps the retry
+        ``delay``, so a thread pool keeps dispatching meanwhile.
         """
-        input_hashes = {port: record.value_hash
-                        for port, record in input_records.items()}
-        cache_key = module_cache_key(definition.type_name,
-                                     definition.version, parameters,
-                                     input_hashes)
-        lease_owner = ""
-        if (consult_cache and self.cache is not None
-                and definition.deterministic):
-            entry = self.cache.get(cache_key)
-            if entry is not None:
-                return self._cached_result(module.id, parameters,
-                                           input_records, cache_key, entry)
-            if self.cache.supports_leases:
-                verdict, token = self._lease_or_wait(cache_key, drain)
-                if verdict == "cached":
-                    return self._cached_result(module.id, parameters,
-                                               input_records, cache_key,
-                                               token)
-                lease_owner = token
-                self._maybe_steal_lease(cache_key, lease_owner)
-        pend = _PendingProcessJob(
-            module=module, definition=definition, parameters=parameters,
-            inputs=input_records, cache_key=cache_key,
-            lease_owner=lease_owner,
-            policy=resolve_retry(self.retry, definition.type_name))
-        threshold = self.payload_spill_threshold if spill_dir else 0
-        pend.job = ProcessJob(
-            module_id=module.id, module_name=module.name,
-            type_name=definition.type_name, parameters=parameters,
-            inputs={port: maybe_spill(record.value, threshold, spill_dir)
-                    for port, record in input_records.items()},
-            registry_provider=self.registry_provider,
-            spill_dir=spill_dir, spill_threshold=threshold)
-        pending[module.id] = pend
-        self._submit_process(backend, pend)
-        return None
-
-    def _submit_process(self, backend, pend: "_PendingProcessJob") -> None:
-        """(Re)submit one pending process job, stamping any planned
-        fault for this attempt and arming the attempt's deadline."""
+        fault = (self.fault_plan.draw("module", attempt.module.id)
+                 if self.fault_plan is not None else None)
+        if attempt.job is None:
+            backend.submit(attempt.module.id, lambda: self._run_in_process(
+                attempt, fault, delay))
+            return
+        if delay > 0:
+            time.sleep(delay)
         inject = ""
-        if self.fault_plan is not None:
-            spec = self.fault_plan.draw("module", pend.module.id)
-            if spec is not None:
-                if spec.kind == "hang":
-                    inject = f"hang:{spec.detail}"
-                else:  # "fail" and "kill" map directly to worker stamps
-                    inject = spec.kind
-        pend.job = replace(pend.job, inject=inject)
-        if pend.policy.timeout is not None:
-            pend.deadline = time.monotonic() + pend.policy.timeout
-        backend.submit(pend.module.id, pend.job)
+        if fault is not None:
+            # "fail" and "kill" map directly to worker stamps
+            inject = (f"hang:{fault.detail}" if fault.kind == "hang"
+                      else fault.kind)
+        attempt.job = replace(attempt.job, inject=inject)
+        if attempt.policy.timeout is not None:
+            attempt.deadline = time.monotonic() + attempt.policy.timeout
+        backend.submit(attempt.module.id, attempt.job)
 
-    def _process_attempt(self, pend: "_PendingProcessJob", outcome,
-                         backend) -> Optional["ModuleResult"]:
-        """Judge one harvested process outcome: settle or retry.
+    @staticmethod
+    def _run_in_process(attempt: _Attempt, fault: Optional[FaultSpec],
+                        delay: float) -> ProcessOutcome:
+        """Compute one attempt on a serial or thread worker; never raises.
+
+        The in-process counterpart of
+        :func:`~repro.workflow.serialization.execute_process_job`.  A
+        policy timeout is a cooperative deadline armed when the job
+        starts (a thread pool may queue it first) and checked again after
+        compute: an overdue success counts as a timeout.  A ``kill``
+        fault degrades to a plain failure: a thread cannot be killed.
+        """
+        if delay > 0:
+            time.sleep(delay)
+        timeout = attempt.policy.timeout
+        deadline = (time.monotonic() + timeout if timeout is not None
+                    else None)
+        started = time.time()
+        try:
+            if fault is not None:
+                if fault.kind == "hang":
+                    time.sleep(fault.detail)
+                else:
+                    raise FaultInjected(f"injected {fault.kind} fault for "
+                                        f"{attempt.module.id}")
+            context = ModuleContext(
+                inputs={port: record.value
+                        for port, record in attempt.inputs.items()},
+                parameters=attempt.parameters,
+                module_name=attempt.module.name, deadline=deadline)
+            outputs = attempt.definition.compute(context)
+        except Exception as exc:
+            return ProcessOutcome(
+                status="failed", started=started, finished=time.time(),
+                error=f"{type(exc).__name__}: {exc}\n"
+                      f"{traceback.format_exc(limit=3)}")
+        if deadline is not None and time.monotonic() > deadline:
+            # no artifacts, no cache publication — a retry recomputes
+            return ProcessOutcome(
+                status="failed", started=started, finished=time.time(),
+                error="ModuleTimeout: cooperative deadline exceeded")
+        return ProcessOutcome("ok", outputs, started, time.time())
+
+    def _judge(self, attempt: _Attempt, outcome: ProcessOutcome,
+               backend) -> Optional[ModuleResult]:
+        """Judge one harvested outcome: settle, retry or quarantine.
 
         Returns the final :class:`ModuleResult` (with accumulated
-        attempt-tagged failures attached) when the module settles, or
-        ``None`` after recording a failed attempt and re-dispatching.
+        attempt-tagged failures attached, and the compute lease released)
+        when the module settles, or ``None`` after recording a failed
+        attempt and re-dispatching.
 
         Worker-loss bookkeeping is separate from the plain-failure
         budget: a job lost to a dying worker (or a deadline-kill pool
@@ -803,84 +832,61 @@ class Executor:
         is quarantined (settled failed, lease released, downstream
         skipped by the ordinary graph propagation).
         """
-        policy = pend.policy
-        worker_lost = bool(getattr(outcome, "worker_lost", False))
-        if outcome.status == "ok" and not pend.timed_out:
-            result = self._result_from_outcome(pend, outcome)
-            result.attempts = pend.failures
-            return result
-        if pend.timed_out:
-            error = (f"ModuleTimeout: exceeded {policy.timeout}s "
-                     "(deadline-kill)")
-            pend.timed_out = False
-            retryable = pend.attempt < policy.max_attempts
-        elif worker_lost:
-            pend.worker_losses += 1
-            allowed = max(policy.max_attempts, 2)
-            retryable = (pend.worker_losses < allowed
+        policy = attempt.policy
+        retryable = attempt.attempt < policy.max_attempts
+        if attempt.timed_out:
+            attempt.timed_out = False
+            outcome = replace(outcome, status="failed", error=(
+                f"ModuleTimeout: exceeded {policy.timeout}s "
+                "(deadline-kill)"))
+        elif outcome.worker_lost:
+            attempt.worker_losses += 1
+            retryable = (attempt.worker_losses < max(policy.max_attempts, 2)
                          and not getattr(backend, "_dead", False))
-            error = outcome.error
             if not retryable:
-                error = (f"poison module quarantined after losing its "
-                         f"worker {pend.worker_losses} time(s): "
-                         f"{outcome.error}")
-        else:
-            error = outcome.error
-            retryable = pend.attempt < policy.max_attempts
-        if not retryable:
-            final = self._result_from_outcome(
-                pend, replace(outcome, status="failed", error=error))
-            final.attempts = pend.failures
-            return final
-        pend.failures.append(self._attempt_result(pend, outcome, error))
-        delay = policy.delay(pend.module.id, pend.attempt)
-        pend.attempt += 1
-        if delay > 0:
-            time.sleep(delay)
-        self._submit_process(backend, pend)
+                outcome = replace(outcome, error=(
+                    f"poison module quarantined after losing its worker "
+                    f"{attempt.worker_losses} time(s): {outcome.error}"))
+        result = self._result_from_outcome(attempt, outcome)
+        if result.status == "ok" or not retryable:
+            result.attempts = attempt.failures
+            if attempt.lease_owner:
+                self._release_lease(self.cache, attempt.cache_key,
+                                    attempt.lease_owner)
+            return result
+        result.attempt = len(attempt.failures) + 1
+        attempt.failures.append(result)
+        delay = policy.delay(attempt.module.id, attempt.attempt)
+        attempt.attempt += 1
+        self._submit(attempt, backend, delay)
         return None
 
-    def _attempt_result(self, pend: "_PendingProcessJob", outcome,
-                        error: str) -> "ModuleResult":
-        """An attempt-tagged failed result for one retried attempt."""
-        if self.clock is not time.time:
-            started = finished = self.clock()
-        else:
-            started = outcome.started or self.clock()
-            finished = outcome.finished or started
-        return ModuleResult(
-            module_id=pend.module.id, execution_id=new_id("exec"),
-            status="failed", parameters=pend.parameters,
-            inputs=pend.inputs, started=started, finished=finished,
-            cache_key=pend.cache_key, error=error,
-            attempt=len(pend.failures) + 1)
-
     @staticmethod
-    def _deadline_slack(pending: Dict[str, "_PendingProcessJob"]
-                        ) -> Optional[float]:
+    def _deadline_slack(pending: Dict[str, _Attempt]) -> Optional[float]:
         """Seconds until the earliest in-flight deadline (None if no
         pending job carries one) — the wait timeout that keeps hung
         workers from stalling the coordination loop."""
-        deadlines = [pend.deadline for pend in pending.values()
-                     if pend.deadline is not None and not pend.timed_out]
+        deadlines = [attempt.deadline for attempt in pending.values()
+                     if attempt.deadline is not None
+                     and not attempt.timed_out]
         if not deadlines:
             return None
         return max(0.05, min(deadlines) - time.monotonic())
 
-    def _enforce_deadlines(self, pending: Dict[str, "_PendingProcessJob"],
+    def _enforce_deadlines(self, pending: Dict[str, _Attempt],
                            backend, harvest) -> None:
         """Deadline-kill: mark overdue jobs timed out and restart the
         pool; every in-flight job comes back worker-lost and is routed
-        through :meth:`_process_attempt` (timeout attempt for the
-        overdue ones, free re-dispatch for the innocent victims)."""
+        through :meth:`_judge` (timeout attempt for the overdue ones,
+        free re-dispatch for the innocent victims)."""
         now = time.monotonic()
-        overdue = [pend for pend in pending.values()
-                   if pend.deadline is not None and now >= pend.deadline
-                   and not pend.timed_out]
+        overdue = [attempt for attempt in pending.values()
+                   if attempt.deadline is not None
+                   and now >= attempt.deadline and not attempt.timed_out]
         if not overdue:
             return
-        for pend in overdue:
-            pend.timed_out = True
+        for attempt in overdue:
+            attempt.timed_out = True
         restart = getattr(backend, "restart", None)
         if restart is None:
             return
@@ -897,116 +903,52 @@ class Executor:
             self.cache.release_lease(cache_key, lease_owner)
             self.cache.acquire_lease(cache_key, f"thief-{lease_owner}")
 
-    def _result_from_outcome(self, job: "_PendingProcessJob",
-                             outcome) -> ModuleResult:
-        """Convert a worker-process outcome into a :class:`ModuleResult`.
+    def _result_from_outcome(self, attempt: _Attempt,
+                             outcome: ProcessOutcome) -> ModuleResult:
+        """Convert one attempt's outcome into a :class:`ModuleResult`.
 
-        Output values are hashed and checked against the declared ports
-        here, in the coordinating process, so the recorded provenance
-        (hashes, statuses, cache entries) is byte-identical to an
-        in-process execution of the same module.
-
-        Workers stamp timestamps with wall-clock time; when the executor
-        runs under an *injected* clock (deterministic tests), those
-        stamps are replaced with coordinator-clock readings so every
-        backend records timestamps from the same time base.
-
-        The memo-cache entry is published *before* the module's compute
-        lease (if any) is released, so concurrent runs waiting on the
-        lease always find the result.
+        Output values are checked against the declared ports and hashed
+        here, on the coordinating thread, for every backend, so the
+        recorded provenance (hashes, statuses, cache entries) cannot
+        depend on where the module ran.  A successful result is published
+        to the memo cache before :meth:`_judge` releases the module's
+        compute lease, so concurrent runs waiting on the lease always
+        find it.
         """
-        try:
-            if self.clock is not time.time:
-                now = self.clock()
-                outcome = replace(outcome, started=now, finished=now)
-            if outcome.status != "ok":
-                return ModuleResult(
-                    module_id=job.module.id, execution_id=new_id("exec"),
-                    status="failed", parameters=job.parameters,
-                    inputs=job.inputs, started=outcome.started,
-                    finished=outcome.finished, cache_key=job.cache_key,
-                    error=outcome.error)
+        started = outcome.started or time.time()
+        finished = outcome.finished or started
+        error = outcome.error
+        if outcome.status == "ok":
             try:
-                outputs = self._check_outputs(
-                    job.definition, resolve_spilled(outcome.outputs))
+                raw_outputs = outcome.outputs
+                if attempt.job is not None:  # only process workers spill
+                    raw_outputs = resolve_spilled(raw_outputs)
+                outputs = self._check_outputs(attempt.definition,
+                                              raw_outputs)
+                records = {port: ValueRecord.of(value)
+                           for port, value in outputs.items()}
             except Exception as exc:
+                error = f"{type(exc).__name__}: {exc}"
+            else:
+                execution_id = new_id("exec")
+                if (self.cache is not None
+                        and attempt.definition.deterministic):
+                    self.cache.put(attempt.cache_key, CacheEntry(
+                        outputs=outputs,
+                        output_hashes={p: r.value_hash
+                                       for p, r in records.items()},
+                        source_execution=execution_id))
                 return ModuleResult(
-                    module_id=job.module.id, execution_id=new_id("exec"),
-                    status="failed", parameters=job.parameters,
-                    inputs=job.inputs, started=outcome.started,
-                    finished=outcome.finished, cache_key=job.cache_key,
-                    error=f"{type(exc).__name__}: {exc}")
-            execution_id = new_id("exec")
-            records = {port: ValueRecord.of(value)
-                       for port, value in outputs.items()}
-            result = ModuleResult(
-                module_id=job.module.id, execution_id=execution_id,
-                status="ok", parameters=job.parameters, inputs=job.inputs,
-                outputs=records, started=outcome.started,
-                finished=outcome.finished, cache_key=job.cache_key)
-            if self.cache is not None and job.definition.deterministic:
-                self.cache.put(job.cache_key, CacheEntry(
-                    outputs=dict(outputs),
-                    output_hashes={p: r.value_hash
-                                   for p, r in records.items()},
-                    source_execution=execution_id))
-            return result
-        finally:
-            if job.lease_owner and self.cache is not None:
-                self._release_lease(self.cache, job.cache_key,
-                                    job.lease_owner)
-
-    def _make_job(self, module: Module, definition,
-                  parameters: Dict[str, Any],
-                  input_records: Dict[str, ValueRecord],
-                  consult_cache: bool = True):
-        """A backend job computing one module; never raises."""
-        policy = resolve_retry(self.retry, definition.type_name)
-
-        def job() -> ModuleResult:
-            try:
-                return self._compute_with_retry(
-                    module, definition, parameters, input_records, policy,
-                    consult_cache=consult_cache)
-            except Exception as exc:  # defensive: job must not raise
-                now = self.clock()
-                return ModuleResult(
-                    module_id=module.id, execution_id=new_id("exec"),
-                    status="failed", parameters=parameters,
-                    inputs=input_records, started=now, finished=now,
-                    error=f"{type(exc).__name__}: {exc}")
-        return job
-
-    def _compute_with_retry(self, module: Module, definition,
-                            parameters: Dict[str, Any],
-                            input_records: Dict[str, ValueRecord],
-                            policy: RetryPolicy,
-                            consult_cache: bool = True) -> ModuleResult:
-        """Retry loop around :meth:`_compute_module` (in-process path).
-
-        Each failed attempt (except the last, which is the module's
-        final result) is attempt-tagged and accumulated on the final
-        result's ``attempts`` — provenance records every try, artifacts
-        only come from the final success.
-        """
-        failures: List[ModuleResult] = []
-        attempt = 1
-        while True:
-            deadline = (time.monotonic() + policy.timeout
-                        if policy.timeout is not None else None)
-            result = self._compute_module(module, definition, parameters,
-                                          input_records,
-                                          consult_cache=consult_cache,
-                                          deadline=deadline)
-            if result.status != "failed" or attempt >= policy.max_attempts:
-                result.attempts = failures
-                return result
-            result.attempt = len(failures) + 1
-            failures.append(result)
-            delay = policy.delay(module.id, attempt)
-            attempt += 1
-            if delay > 0:
-                time.sleep(delay)
+                    module_id=attempt.module.id, execution_id=execution_id,
+                    status="ok", parameters=attempt.parameters,
+                    inputs=attempt.inputs, outputs=records,
+                    started=started, finished=finished,
+                    cache_key=attempt.cache_key)
+        return ModuleResult(
+            module_id=attempt.module.id, execution_id=new_id("exec"),
+            status="failed", parameters=attempt.parameters,
+            inputs=attempt.inputs, started=started, finished=finished,
+            cache_key=attempt.cache_key, error=error)
 
     # ------------------------------------------------------------------
     def _validate(self, workflow: Workflow,
@@ -1042,97 +984,6 @@ class Executor:
             if port.name not in bound:
                 return False
         return True
-
-    def _compute_module(self, module: Module, definition,
-                        parameters: Dict[str, Any],
-                        input_records: Dict[str, ValueRecord],
-                        consult_cache: bool = True,
-                        deadline: Optional[float] = None) -> ModuleResult:
-        """Run one module (worker-thread side): cache check, compute, memo.
-
-        On a miss against a lease-capable cache, a per-key compute lease
-        is claimed first; losing the claim means another thread or run is
-        already computing this exact causal signature, so this module
-        waits and replays the published entry as a ``"cached"`` result
-        instead of duplicating the work.  Lease holders never wait on
-        other leases (they go straight to compute), so waiting cannot
-        deadlock.
-        """
-        input_hashes = {port: record.value_hash
-                        for port, record in input_records.items()}
-        cache_key = module_cache_key(definition.type_name,
-                                     definition.version, parameters,
-                                     input_hashes)
-        lease_owner = ""
-        if (consult_cache and self.cache is not None
-                and definition.deterministic):
-            entry = self.cache.get(cache_key)
-            if entry is not None:
-                return self._cached_result(module.id, parameters,
-                                           input_records, cache_key, entry)
-            if self.cache.supports_leases:
-                verdict, token = self._lease_or_wait(cache_key)
-                if verdict == "cached":
-                    return self._cached_result(module.id, parameters,
-                                               input_records, cache_key,
-                                               token)
-                lease_owner = token
-                self._maybe_steal_lease(cache_key, lease_owner)
-        try:
-            started = self.clock()
-            execution_id = new_id("exec")
-            context = ModuleContext(
-                inputs={port: record.value
-                        for port, record in input_records.items()},
-                parameters=parameters, module_name=module.name,
-                deadline=deadline)
-            try:
-                if self.fault_plan is not None:
-                    spec = self.fault_plan.draw("module", module.id)
-                    if spec is not None:
-                        if spec.kind == "hang":
-                            time.sleep(spec.detail)
-                        else:  # "fail"; "kill" degrades to fail in-process
-                            raise FaultInjected(
-                                f"injected {spec.kind} fault for "
-                                f"{module.id}")
-                raw_outputs = definition.compute(context)
-                outputs = self._check_outputs(definition, raw_outputs)
-            except Exception as exc:
-                return ModuleResult(
-                    module_id=module.id, execution_id=execution_id,
-                    status="failed", parameters=parameters,
-                    inputs=input_records, started=started,
-                    finished=self.clock(), cache_key=cache_key,
-                    error=f"{type(exc).__name__}: {exc}\n"
-                          f"{traceback.format_exc(limit=3)}")
-            if deadline is not None and time.monotonic() > deadline:
-                # overdue success counts as a timeout: no artifacts, no
-                # cache publication — the retry (if any) recomputes
-                return ModuleResult(
-                    module_id=module.id, execution_id=execution_id,
-                    status="failed", parameters=parameters,
-                    inputs=input_records, started=started,
-                    finished=self.clock(), cache_key=cache_key,
-                    error="ModuleTimeout: cooperative deadline exceeded")
-
-            records = {port: ValueRecord.of(value)
-                       for port, value in outputs.items()}
-            result = ModuleResult(
-                module_id=module.id, execution_id=execution_id,
-                status="ok", parameters=parameters, inputs=input_records,
-                outputs=records, started=started, finished=self.clock(),
-                cache_key=cache_key)
-            if self.cache is not None and definition.deterministic:
-                self.cache.put(cache_key, CacheEntry(
-                    outputs=dict(outputs),
-                    output_hashes={p: r.value_hash
-                                   for p, r in records.items()},
-                    source_execution=execution_id))
-            return result
-        finally:
-            if lease_owner:
-                self._release_lease(self.cache, cache_key, lease_owner)
 
     def _gather_inputs(self, workflow: Workflow, module: Module,
                        results: Dict[str, ModuleResult],

@@ -24,13 +24,15 @@ module provides the two halves of that architecture for the engine:
   GIL.  All three expose the same tiny submit/poll/wait surface, so the
   engine's coordination loop is backend-agnostic.
 
-In-process backends receive callables and must never see them raise: the
-engine wraps module computation so failures come back as ordinary failed
-results.  The process backend instead receives picklable
+Every backend completes a job with a
+:class:`~repro.workflow.serialization.ProcessOutcome` carrying the
+module's raw outputs; the engine's coordinating thread does everything
+else (cache probe, lease, retry, output hashing, cache publish) for all
+backends alike.  In-process backends receive callables that return that
+outcome and never raise.  The process backend instead receives picklable
 :class:`~repro.workflow.serialization.ProcessJob` payloads (its
-``out_of_process`` flag tells the engine which contract applies) and
-returns :class:`~repro.workflow.serialization.ProcessOutcome` records;
-worker crashes and unpicklable results are converted to failed outcomes at
+``out_of_process`` flag tells the engine which contract applies); worker
+crashes and unpicklable results are converted to failed outcomes at
 harvest, never raised into the scheduling loop.  Values above the job's
 spill threshold cross the boundary as
 :class:`~repro.workflow.serialization.SpilledValue` file references
@@ -44,10 +46,11 @@ import heapq
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor, Future,
                                 ProcessPoolExecutor, ThreadPoolExecutor)
 from concurrent.futures import wait as futures_wait
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.workflow.errors import ExecutionError
-from repro.workflow.serialization import ProcessOutcome, execute_process_job
+from repro.workflow.serialization import (ProcessJob, ProcessOutcome,
+                                          execute_process_job)
 from repro.workflow.spec import Workflow
 
 __all__ = [
@@ -60,8 +63,10 @@ __all__ = [
     "make_backend",
 ]
 
-#: A unit of schedulable work: returns the module's result object.
-Job = Callable[[], Any]
+#: A unit of schedulable work: for in-process backends a callable that
+#: returns one attempt's :class:`ProcessOutcome` and never raises; for the
+#: process backend a picklable :class:`ProcessJob`.
+Job = Union[Callable[[], ProcessOutcome], ProcessJob]
 
 
 class ReadySetScheduler:
@@ -151,15 +156,15 @@ class ExecutionBackend:
     """Where ready jobs physically run.
 
     The engine submits ``(module_id, job)`` pairs and harvests
-    ``(module_id, result)`` completions via :meth:`poll` (non-blocking) and
-    :meth:`wait` (blocks until at least one job completes).  Implementations
-    must preserve nothing about ordering — the engine's scheduler state is
-    the single source of truth.
+    ``(module_id, outcome)`` completions via :meth:`poll` (non-blocking)
+    and :meth:`wait` (blocks until at least one job completes).
+    Implementations must preserve nothing about ordering — the engine's
+    scheduler state is the single source of truth.
 
     ``out_of_process`` declares the submission contract: False (the
-    default) means jobs are in-process callables returning results
-    directly; True means jobs are picklable payloads and completions are
-    raw outcomes the engine converts back into results.
+    default) means jobs are in-process callables; True means jobs are
+    picklable payloads.  Either way a completion is a
+    :class:`ProcessOutcome` the engine judges and converts into a result.
     """
 
     #: True when jobs cross a process boundary (see class docstring).

@@ -261,14 +261,19 @@ class ProcessJob:
     inject: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass
 class ProcessOutcome:
-    """What a worker process sends back for one :class:`ProcessJob`.
+    """What a worker sends back for one module attempt.
+
+    Process workers return one per :class:`ProcessJob`; serial and
+    thread workers build the same record in-process, one per attempt
+    (which is why this class is not frozen: construction is on the
+    per-module hot path).
 
     ``status`` is ``"ok"`` or ``"failed"``; outputs are the *raw* values
-    returned by the compute function — the coordinating process hashes
-    them, checks them against the declared output ports, and memoizes
-    them, exactly as it would for in-process execution.  Values above the
+    returned by the compute function — the coordinator hashes them,
+    checks them against the declared output ports, and memoizes them,
+    whichever backend ran the module.  Values above the
     job's spill threshold come back as :class:`SpilledValue` references
     the coordinator resolves before hashing.
 

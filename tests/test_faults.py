@@ -231,6 +231,19 @@ class TestTimeouts:
         assert len(failures) == 1
         assert "deadline-kill" in failures[0].error
 
+    def test_in_process_deadline_starts_with_the_attempt(self, registry):
+        # two workers, five 0.2 s modules: the fifth waits 0.4 s in the
+        # pool queue, so a deadline armed at submit would time it out
+        workflow = Workflow("queued")
+        for index in range(5):
+            workflow.add_module(Module("Sleep", name=f"nap{index}",
+                                       parameters={"seconds": 0.2}))
+        result = Executor(
+            registry, workers=2, backend="thread",
+            retry=RetryPolicy(max_attempts=1, timeout=0.5),
+        ).execute(workflow)
+        assert [r.status for r in result.results.values()] == ["ok"] * 5
+
     def test_exhausted_timeout_is_a_failure(self, registry):
         workflow = build_chain_workflow(length=1, work=5)
         stage0 = module_by_name(workflow, "stage0")
