@@ -4,25 +4,24 @@ Regenerates: the §2.2 claim that engine-level instrumentation is cheap.
 Shape: overhead percentage falls as per-module compute grows (capture cost
 is per-event, compute cost is per-work-unit).
 
-The high-rate section measures the batched capture pipeline at 10k
-modules/run: batched capture must stay within a fixed overhead budget of
-the uninstrumented engine on the hot path, and on a journal-heavy
-firehose (listener events driven directly, no engine in the way) the
-producer-side cost of batched capture must beat synchronous capture by
->= 3x while materializing byte-identical provenance.
+The high-rate section measures capture at 10k modules/run: the median of
+several alternating plain/captured runs must stay within a fixed overhead
+budget of the uninstrumented engine.  A journal-heavy firehose (listener
+events driven directly, no engine in the way) records capture's cost per
+event; it asserts nothing.
 
 When the ``BENCH_JSON`` environment variable names a file, the measured
 numbers are dumped there so CI can archive a ``BENCH_*.json`` trajectory
 across builds.
 """
 
-import json
+import statistics
 import time
 
 import pytest
 
 from benchmarks.conftest import BenchRecorder, report_row
-from repro.core import ProvenanceCapture, run_from_result
+from repro.core import ProvenanceCapture
 from repro.workflow import Executor
 from repro.workflow.engine import ModuleResult, RunResult, ValueRecord
 from repro.workflow.spec import Module, Workflow
@@ -30,11 +29,11 @@ from repro.workloads import chain_workflow, random_workflow
 
 #: High-rate workload size (the ISSUE's 10k-modules/run scenario).
 HIGH_RATE_MODULES = 10_000
-#: Hot-path overhead budget for batched capture vs. no capture at all.
+#: Hot-path overhead budget for capture vs. no capture at all.
 OVERHEAD_BUDGET_PCT = 15.0
-#: Minimum producer-side speedup of batched over synchronous capture on
-#: the journal-heavy firehose.
-MIN_FIREHOSE_SPEEDUP = 3.0
+#: Alternating plain/captured pairs behind each 10k-module median; one
+#: shot on a shared host swings the overhead by tens of percent.
+HIGH_RATE_REPEATS = 7
 
 _record = BenchRecorder("E1-capture", modules=HIGH_RATE_MODULES)
 
@@ -88,83 +87,53 @@ def test_value_retention_cost(benchmark, registry):
                values=len(capture.last_run().values))
 
 
-# -- high-rate batched capture -------------------------------------------
+# -- high-rate capture ---------------------------------------------------
 
-def _provenance_fingerprint(run):
-    """Provenance identity independent of generated artifact/run ids."""
-    artifact_hash = {a.id: a.value_hash for a in run.artifacts.values()}
-    return (run.status, tuple(
-        (e.module_id, e.status,
-         tuple(sorted((b.port, artifact_hash[b.artifact_id])
-                      for b in e.inputs)),
-         tuple(sorted((b.port, artifact_hash[b.artifact_id])
-                      for b in e.outputs)))
-        for e in run.executions),
-        tuple(sorted(a.value_hash for a in run.artifacts.values())))
+def _median_and_spread(samples):
+    """Median and interquartile distance of ``samples``, in ms."""
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return round(median * 1000, 1), round((q3 - q1) * 1000, 1)
 
 
-def _normalized_dict(run):
-    """``run.to_dict()`` with artifact ids renamed in first-seen order, so
-    two materializations of the same engine result compare byte-identical
-    (artifact ids are the only generated component).  The rename walks the
-    structure (ids only ever appear as whole strings) rather than
-    string-replacing the dumped JSON, which is quadratic at 10k modules."""
-    rename = {}
-    for execution in run.executions:
-        for binding in (*execution.inputs, *execution.outputs):
-            rename.setdefault(binding.artifact_id, f"art-{len(rename):06d}")
-    for artifact_id in run.artifacts:
-        rename.setdefault(artifact_id, f"art-{len(rename):06d}")
-
-    def rewrite(node):
-        if isinstance(node, str):
-            return rename.get(node, node)
-        if isinstance(node, list):
-            return [rewrite(item) for item in node]
-        if isinstance(node, dict):
-            return {rename.get(key, key): rewrite(value)
-                    for key, value in node.items()}
-        return node
-
-    return json.dumps(rewrite(run.to_dict()), sort_keys=True)
-
-
-def test_batched_capture_overhead_10k(registry):
-    """At 10k modules/run, batched capture stays within the hot-path
-    overhead budget of an uninstrumented engine."""
+def test_capture_overhead_10k(registry):
+    """At 10k modules/run, capture stays within the hot-path overhead
+    budget of an uninstrumented engine, median of alternating repeats."""
     workflow = chain_workflow(HIGH_RATE_MODULES - 1, work=5)
 
     def timed_execute(listeners):
         executor = Executor(registry, listeners=listeners)
         start = time.perf_counter()
-        result = executor.execute(workflow)
-        return result, time.perf_counter() - start
+        executor.execute(workflow)
+        return time.perf_counter() - start
 
-    _, plain = timed_execute([])
-    sync_capture = ProvenanceCapture(registry=registry, keep_values=False)
-    _, sync = timed_execute([sync_capture])
-    batched_capture = ProvenanceCapture(registry=registry,
-                                        keep_values=False,
-                                        queue_size=8192)
-    with batched_capture:
-        _, batched = timed_execute([batched_capture])
-        batched_capture.flush()
-    overhead_sync = (sync - plain) / plain * 100.0
-    overhead_batched = (batched - plain) / plain * 100.0
-    _record(plain_ms=round(plain * 1000, 1),
-            sync_ms=round(sync * 1000, 1),
-            batched_ms=round(batched * 1000, 1),
-            sync_overhead_pct=round(overhead_sync, 1),
-            batched_overhead_pct=round(overhead_batched, 1))
+    def timed_capture():
+        capture = ProvenanceCapture(registry=registry, keep_values=False)
+        elapsed = timed_execute([capture])
+        assert len(capture.last_run().executions) == HIGH_RATE_MODULES
+        return elapsed
+
+    plain, sync = [], []
+    for repeat in range(HIGH_RATE_REPEATS):
+        # alternate which side runs first so drift hits both equally
+        if repeat % 2:
+            sync.append(timed_capture())
+            plain.append(timed_execute([]))
+        else:
+            plain.append(timed_execute([]))
+            sync.append(timed_capture())
+    plain_ms, plain_spread = _median_and_spread(plain)
+    sync_ms, sync_spread = _median_and_spread(sync)
+    overhead = (sync_ms - plain_ms) / plain_ms * 100.0
+    _record(repeats=HIGH_RATE_REPEATS,
+            plain_ms=plain_ms, plain_iqr_ms=plain_spread,
+            sync_ms=sync_ms, sync_iqr_ms=sync_spread,
+            sync_overhead_pct=round(overhead, 1))
     report_row("E1", variant="10k-hot-path",
-               plain_ms=f"{plain * 1000:.0f}",
-               sync_ms=f"{sync * 1000:.0f}",
-               batched_ms=f"{batched * 1000:.0f}",
-               batched_overhead_pct=f"{overhead_batched:.1f}")
-    assert _provenance_fingerprint(sync_capture.last_run()) == \
-        _provenance_fingerprint(batched_capture.last_run())
-    assert overhead_batched <= OVERHEAD_BUDGET_PCT, (
-        f"batched capture overhead {overhead_batched:.1f}% exceeds "
+               plain_ms=f"{plain_ms:.0f}+-{plain_spread:.0f}",
+               sync_ms=f"{sync_ms:.0f}+-{sync_spread:.0f}",
+               sync_overhead_pct=f"{overhead:.1f}")
+    assert overhead <= OVERHEAD_BUDGET_PCT, (
+        f"capture overhead {overhead:.1f}% exceeds "
         f"{OVERHEAD_BUDGET_PCT}% budget")
 
 
@@ -191,42 +160,26 @@ def _firehose_result(modules):
                      environment={}, started=0.0, finished=float(modules))
 
 
-def test_firehose_batched_vs_sync(registry):
-    """Journal-heavy firehose: producer-side batched capture must be
-    >= 3x cheaper than synchronous capture, byte-identical provenance."""
+def test_firehose_capture_cost(registry):
+    """Journal-heavy firehose: records capture's cost per listener event,
+    run materialization included.  A record, not a gate."""
     result = _firehose_result(HIGH_RATE_MODULES)
     modules = [result.workflow.modules[module_id]
                for module_id in result.order]
-
-    def produce(capture):
-        start = time.perf_counter()
-        capture.on_run_start(result.run_id, result.workflow, {}, {})
-        for module in modules:
-            capture.on_module_start(result.run_id, module, {})
-            capture.on_module_finish(result.run_id, module,
-                                     result.results[module.id])
-        capture.on_run_finish(result)
-        return time.perf_counter() - start
-
-    sync_capture = ProvenanceCapture(registry=registry, keep_values=False)
-    sync = produce(sync_capture)
-    batched_capture = ProvenanceCapture(registry=registry,
-                                        keep_values=False,
-                                        queue_size=4 * HIGH_RATE_MODULES)
-    with batched_capture:
-        batched = produce(batched_capture)
-        batched_capture.flush()
-    speedup = sync / batched
-    _record(firehose_sync_ms=round(sync * 1000, 1),
-            firehose_batched_ms=round(batched * 1000, 1),
-            firehose_speedup=round(speedup, 1),
-            firehose_events=batched_capture.stats.events)
+    capture = ProvenanceCapture(registry=registry, keep_values=False)
+    start = time.perf_counter()
+    capture.on_run_start(result.run_id, result.workflow, {}, {})
+    for module in modules:
+        capture.on_module_start(result.run_id, module, {})
+        capture.on_module_finish(result.run_id, module,
+                                 result.results[module.id])
+    capture.on_run_finish(result)
+    elapsed = time.perf_counter() - start
+    events = capture.stats.events
+    per_event_us = elapsed / events * 1e6
+    _record(firehose_sync_ms=round(elapsed * 1000, 1),
+            firehose_events=events,
+            firehose_us_per_event=round(per_event_us, 2))
     report_row("E1", variant="firehose",
-               sync_ms=f"{sync * 1000:.0f}",
-               batched_ms=f"{batched * 1000:.0f}",
-               speedup=f"{speedup:.1f}x")
-    assert _normalized_dict(sync_capture.last_run()) == \
-        _normalized_dict(batched_capture.last_run())
-    assert speedup >= MIN_FIREHOSE_SPEEDUP, (
-        f"batched producer path only {speedup:.1f}x faster than sync "
-        f"(need >= {MIN_FIREHOSE_SPEEDUP}x)")
+               sync_ms=f"{elapsed * 1000:.0f}", events=events,
+               us_per_event=f"{per_event_us:.2f}")

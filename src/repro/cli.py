@@ -56,8 +56,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
                                 cache_path=args.cache or None,
                                 cache_max_bytes=args.cache_max_bytes
                                 or None,
-                                capture_queue=args.capture_queue,
-                                capture_policy=args.capture_policy,
                                 retry=retry)
     run = manager.run(build_vis_workflow(size=args.size))
     manager.close()
@@ -475,15 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--cache-max-bytes", type=int, default=0,
                       help="total payload-byte budget for the result "
                            "cache (LRU eviction past it; 0 = unbounded)")
-    demo.add_argument("--capture-queue", type=int, default=0,
-                      help="batched-capture queue size (0 = synchronous "
-                           "capture on the engine thread)")
-    demo.add_argument("--capture-policy",
-                      choices=["block", "drop-detail", "sample"],
-                      default="block",
-                      help="back-pressure policy when the capture queue "
-                           "fills (drop-detail/sample thin journal "
-                           "detail only; executions are never lost)")
     demo.add_argument("--retries", type=int, default=1,
                       help="attempts per module (1 = no retry); failed "
                            "attempts are recorded in provenance")

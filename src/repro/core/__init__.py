@@ -7,7 +7,7 @@ causality inference, user-defined annotations, capture mechanisms, and the
 
 from repro.core.annotations import (ANNOTATABLE_KINDS, Annotation,
                                     AnnotationStore)
-from repro.core.capture import (CAPTURE_POLICIES, CaptureEvent, CaptureStats,
+from repro.core.capture import (CaptureEvent, CaptureStats,
                                 ProvenanceCapture, ScriptCapture,
                                 run_from_result, stream_run_to_store)
 from repro.core.causality import (artifacts_affected_by,
@@ -26,7 +26,7 @@ from repro.core.xmlprov import run_from_xml, run_to_xml
 
 __all__ = [
     "ANNOTATABLE_KINDS", "Annotation", "AnnotationStore",
-    "CAPTURE_POLICIES", "CaptureEvent", "CaptureStats",
+    "CaptureEvent", "CaptureStats",
     "ProvenanceCapture", "ScriptCapture", "run_from_result",
     "stream_run_to_store",
     "artifacts_affected_by", "cached_causality_graph", "causality_graph",

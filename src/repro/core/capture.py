@@ -10,16 +10,12 @@ Two mechanisms are implemented:
   :class:`~repro.workflow.engine.ExecutionListener`; attached to an
   :class:`~repro.workflow.engine.Executor` it converts every run into a
   :class:`~repro.core.retrospective.WorkflowRun`, keeping a streaming event
-  journal along the way (the "detailed log").  Capture runs either
-  *synchronously* (all bookkeeping on the engine's coordinating thread — the
-  historical behaviour) or *batched* behind a bounded queue: the engine
-  thread only enqueues lightweight tuples and a background drainer thread
-  owns journal materialization, run conversion and store writes, so at high
-  module rates the engine's hot path pays an enqueue instead of the full
-  capture cost.  When producers outrun the drainer, an explicit
-  back-pressure policy decides what happens (see
-  :data:`CAPTURE_POLICIES`); :meth:`ProvenanceCapture.flush` provides the
-  barrier that makes deferred capture observably complete.
+  journal along the way (the "detailed log").  Capture is synchronous: the
+  journal, run conversion and store write all happen on the engine's
+  coordinating thread, so a run is fully recorded (or its store write has
+  raised) by the time ``Executor.execute`` returns.  With ``stream_batch``
+  set, the store write goes through :func:`stream_run_to_store`, which
+  bounds ingest memory by committing executions in batches.
 * :class:`ScriptCapture` — API capture for ad-hoc code (the paper's Perl
   scripts).  Wrapping a plain Python function records each call as a
   one-execution run, so script-based and workflow-based derivations share
@@ -28,14 +24,11 @@ Two mechanisms are implemented:
 
 from __future__ import annotations
 
-import atexit
 import itertools
-import queue
 import threading
 import time
-import weakref
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.prospective import ProspectiveProvenance
@@ -44,28 +37,13 @@ from repro.core.retrospective import (DataArtifact, ModuleExecution,
 from repro.identity import hash_value, new_id
 from repro.workflow.engine import (ExecutionListener, ModuleResult,
                                    RunResult)
-from repro.workflow.faults import FaultInjected, FaultPlan, HardCrash
+from repro.workflow.faults import FaultPlan, HardCrash
 from repro.workflow.environment import capture_environment
 from repro.workflow.registry import ModuleRegistry
 from repro.workflow.spec import Module, Workflow
 
-__all__ = ["CaptureEvent", "CaptureStats", "CAPTURE_POLICIES",
-           "ProvenanceCapture", "ScriptCapture", "run_from_result",
-           "stream_run_to_store"]
-
-#: Back-pressure policies for batched capture, applied when the bounded
-#: queue is full:
-#:
-#: * ``"block"`` — the producer waits for queue space.  Nothing is ever
-#:   lost; engine throughput degrades to drainer throughput.
-#: * ``"drop-detail"`` — module-level journal events (``module-start`` /
-#:   ``module-finish``) are dropped and counted; run lifecycle events and
-#:   run materialization still block, so executions and bindings are never
-#:   lost — only journal detail.
-#: * ``"sample"`` — only every Nth module-level event is enqueued at all
-#:   (N = ``sample_every``), thinning journal detail at the source; run
-#:   lifecycle events and run materialization always block.
-CAPTURE_POLICIES = ("block", "drop-detail", "sample")
+__all__ = ["CaptureEvent", "CaptureStats", "ProvenanceCapture",
+           "ScriptCapture", "run_from_result", "stream_run_to_store"]
 
 
 @dataclass(frozen=True)
@@ -88,13 +66,10 @@ class CaptureEvent:
 
 @dataclass
 class CaptureStats:
-    """Counters describing one capture's traffic (batched mode)."""
+    """Counters describing one capture's traffic."""
 
-    events: int = 0          #: journal events accepted for materialization
-    dropped: int = 0         #: events discarded by the drop-detail policy
-    sampled_out: int = 0     #: events thinned at the source by sampling
-    runs: int = 0            #: run materializations enqueued/performed
-    max_queue_depth: int = 0  #: high-water mark of the bounded queue
+    events: int = 0  #: journal events recorded
+    runs: int = 0    #: runs materialized
 
 
 #: Beyond this many characters/items, ``repr`` is estimated, not computed.
@@ -319,25 +294,6 @@ def stream_run_to_store(run: WorkflowRun, store: Any, *,
         raise
 
 
-#: Queue item tags for the batched pipeline (tuples stay tiny on purpose:
-#: the engine thread builds them, the drainer unpacks them).
-_EVENT, _RUN, _STOP = 0, 1, 2
-
-#: Live batched captures, flushed at interpreter exit: the drainer is a
-#: daemon thread, so without this hook an exit that skipped ``close()``
-#: would silently drop queued tail journal events and run writes.
-_LIVE_CAPTURES: "weakref.WeakSet" = weakref.WeakSet()
-
-
-@atexit.register
-def _flush_live_captures() -> None:  # pragma: no cover - exit hook
-    for capture in list(_LIVE_CAPTURES):
-        try:
-            capture.close()
-        except Exception:
-            pass  # exit-time best effort; the store may already be gone
-
-
 class ProvenanceCapture(ExecutionListener):
     """Engine instrumentation that records every run it observes.
 
@@ -350,65 +306,38 @@ class ProvenanceCapture(ExecutionListener):
         store: provenance store finished runs are saved to.
         keep_values: retain artifact values on captured runs.
         journal_limit: journal retention bound (a deque ``maxlen``).
-        queue_size: ``0`` (default) captures synchronously on the engine
-            thread; ``> 0`` switches to the *batched* pipeline — a bounded
-            queue of this many items drained by a background thread that
-            owns journal materialization, run conversion
-            (:func:`run_from_result`) and store writes.  The engine's hot
-            path then only builds a small tuple and enqueues it.
-        policy: back-pressure policy when the queue is full — one of
-            :data:`CAPTURE_POLICIES`.  Whatever the policy, executions,
-            bindings and runs are never lost; only journal *detail* may be
-            thinned or dropped.
-        sample_every: with ``policy="sample"``, keep one in this many
-            module-level events.
         stream_batch: when set, store saves go through
             :func:`stream_run_to_store` with this batch size — executions
             flush to the backend incrementally (per-batch transactions on
             the relational store) instead of as one monolithic write.
         fault_plan: optional :class:`~repro.workflow.faults.FaultPlan`
-            injecting deterministic faults at capture seams (drainer
-            crash during run materialization, coordinator crash between
-            stream flushes) — for recovery tests and drills.
+            injecting a coordinator crash between stream flushes — for
+            recovery tests and drills.
 
-    Thread-safety: the engine dispatches listener events from its
-    coordinating thread, but one capture instance may be shared between
-    executors (or executors driven from different threads), so journal and
-    run bookkeeping are guarded by a lock; in batched mode the drainer
-    thread is the only store writer, which also serializes saves.  Within
-    one run the converted provenance is deterministic regardless of
-    execution parallelism or capture mode — the execution list follows the
-    workflow's canonical topological order, not wall-clock completion
-    order — and :meth:`normalized_journal` gives a timing-independent view
-    of the event stream for comparisons.
+    Capture is synchronous: every event is journaled, and every finished
+    run converted and saved, on the engine's coordinating thread before
+    the engine moves on.  A failing store write therefore raises out of
+    :meth:`~repro.workflow.engine.Executor.execute` for the run it failed
+    on, and the capture keeps working for the next run.
 
-    Deferred completeness: in batched mode :meth:`last_run`,
-    :meth:`run_by_id` and :meth:`normalized_journal` call :meth:`flush`
-    first, so readers always observe a complete journal and run list;
-    call :meth:`flush` directly before touching :attr:`runs` or
-    :attr:`journal` raw.
+    Thread-safety: one capture instance may be shared between executors
+    (or executors driven from different threads), so journal and run
+    bookkeeping, and the store write, are guarded by a lock.  Within one
+    run the converted provenance is deterministic regardless of execution
+    parallelism — the execution list follows the workflow's canonical
+    topological order, not wall-clock completion order — and
+    :meth:`normalized_journal` gives a timing-independent view of the
+    event stream for comparisons.
     """
 
     def __init__(self, *, registry: Optional[ModuleRegistry] = None,
                  store: Optional[Any] = None, keep_values: bool = True,
                  journal_limit: int = 10_000,
-                 queue_size: int = 0,
-                 policy: str = "block",
-                 sample_every: int = 8,
                  stream_batch: Optional[int] = None,
                  fault_plan: Optional[FaultPlan] = None) -> None:
-        if policy not in CAPTURE_POLICIES:
-            raise ValueError(f"unknown capture policy: {policy!r} "
-                             f"(expected one of {CAPTURE_POLICIES})")
-        if queue_size < 0:
-            raise ValueError("queue_size must be >= 0")
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
         self.registry = registry
         self.store = store
         self.keep_values = keep_values
-        self.policy = policy
-        self.sample_every = sample_every
         self.stream_batch = stream_batch
         self.fault_plan = fault_plan
         self.stats = CaptureStats()
@@ -421,176 +350,34 @@ class ProvenanceCapture(ExecutionListener):
         # next(counter) is atomic under CPython, so the hot path takes no
         # lock to stamp an event's sequence number
         self._seq = itertools.count(1)
-        self._sample_tick = itertools.count()
-        self._queue: Optional[queue.Queue] = (
-            queue.Queue(maxsize=queue_size) if queue_size else None)
-        self._drainer: Optional[threading.Thread] = None
-        self._drainer_error: Optional[BaseException] = None
-        self._closed = False
-        #: test seam: seconds the drainer sleeps per item, simulating a
-        #: slow materialization sink for back-pressure tests
-        self.drain_delay = 0.0
-        if self._queue is not None:
-            _LIVE_CAPTURES.add(self)
 
     @property
     def journal_limit(self) -> int:
         """The journal's retention bound (the deque's maxlen)."""
         return self.journal.maxlen
 
-    @property
-    def batched(self) -> bool:
-        """True when this capture defers work to the drainer thread."""
-        return self._queue is not None and not self._closed
-
     # -- ExecutionListener ------------------------------------------------
     def on_run_start(self, run_id: str, workflow: Workflow,
                      environment: Dict[str, Any],
                      tags: Dict[str, Any]) -> None:
-        self._submit_event("run-start", run_id, workflow.id, workflow.name,
-                           detail_level=False)
+        self._record("run-start", run_id, workflow.id, workflow.name)
 
     def on_module_start(self, run_id: str, module: Module,
                         parameters: Dict[str, Any]) -> None:
-        self._submit_event("module-start", run_id, module.id, module.name,
-                           detail_level=True)
+        self._record("module-start", run_id, module.id, module.name)
 
     def on_module_finish(self, run_id: str, module: Module,
                          result: ModuleResult) -> None:
-        self._submit_event("module-finish", run_id, module.id,
-                           result.status, detail_level=True)
+        self._record("module-finish", run_id, module.id, result.status)
 
     def on_run_finish(self, result: RunResult) -> None:
-        self.stats.runs += 1
-        if self.batched:
-            # a store write that already failed on the drainer must fail
-            # the producer *here*, at the next run hand-off — not linger
-            # until some eventual flush() while callers keep submitting
-            # runs that can no longer be persisted
-            self._raise_drainer_error()
-            # the engine thread hands off the raw RunResult; conversion
-            # and the store write happen on the drainer.  Run completions
-            # always block — back-pressure may thin the journal, never
-            # the provenance record itself.
-            self._enqueue((_RUN, result, 1), block=True)
-        else:
-            self._materialize_run(result)
-        self._submit_event("run-finish", result.run_id, "", result.status,
-                           detail_level=False)
-
-    # -- hot path ----------------------------------------------------------
-    def _submit_event(self, kind: str, run_id: str, subject: str,
-                      detail: str, *, detail_level: bool) -> None:
-        """Record one journal event, honouring mode and policy.
-
-        ``detail_level`` marks module-granularity events — the ones
-        back-pressure policies are allowed to thin.  Run lifecycle events
-        always survive.
-        """
-        if self.batched and detail_level:
-            if (self.policy == "sample"
-                    and next(self._sample_tick) % self.sample_every):
-                self.stats.sampled_out += 1
-                return
-            if self.policy == "drop-detail":
-                item = (_EVENT, next(self._seq), time.time(), kind,
-                        run_id, subject, detail)
-                try:
-                    self._enqueue(item, block=False)
-                except queue.Full:
-                    self.stats.dropped += 1
-                return
-        event = (_EVENT, next(self._seq), time.time(), kind, run_id,
-                 subject, detail)
-        if self.batched:
-            self._enqueue(event, block=True)
-        else:
-            self.stats.events += 1
-            self._journal(CaptureEvent(event[2], kind, run_id,
-                                       subject=subject, detail=detail,
-                                       seq=event[1]))
-
-    def _enqueue(self, item: Tuple, *, block: bool) -> None:
-        """Put one item on the bounded queue.
-
-        The drainer starts lazily on the first *contended* put (queue
-        full) or at the next flush/close barrier, not on the first
-        event: while the queue has room the producer runs free of
-        drainer GIL and context-switch interference, which is what
-        keeps the batched hot path cheap on busy or few-core hosts.
-        """
-        try:
-            self._queue.put_nowait(item)
-        except queue.Full:
-            self._ensure_drainer()
-            if not block:
-                raise
-            self._queue.put(item)
-        depth = self._queue.qsize()
-        if depth > self.stats.max_queue_depth:
-            self.stats.max_queue_depth = depth
-
-    def _ensure_drainer(self) -> None:
-        with self._lock:
-            if self._drainer is None:
-                self._drainer = threading.Thread(
-                    target=self._drain_loop, name="repro-capture-drainer",
-                    daemon=True)
-                self._drainer.start()
-
-    # -- drainer side ------------------------------------------------------
-    def _drain_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            try:
-                if item[0] == _STOP:
-                    return
-                if self.drain_delay:
-                    time.sleep(self.drain_delay)
-                if item[0] == _EVENT:
-                    _, seq, at, kind, run_id, subject, detail = item
-                    self.stats.events += 1
-                    self._journal(CaptureEvent(at, kind, run_id,
-                                               subject=subject,
-                                               detail=detail, seq=seq))
-                else:
-                    tries = item[2] if len(item) > 2 else 1
-                    try:
-                        self._materialize_run(item[1])
-                    except BaseException:
-                        if tries >= 2:
-                            raise
-                        # supervised drainer: one re-enqueue before the
-                        # failure surfaces at the next flush() barrier —
-                        # a transiently failing store write doesn't lose
-                        # the run record.  put_nowait: the drainer must
-                        # never block on its own queue.
-                        try:
-                            self._queue.put_nowait(
-                                (_RUN, item[1], tries + 1))
-                        except queue.Full:
-                            raise
-            except BaseException as exc:  # surfaced on the next flush()
-                self._drainer_error = exc
-            finally:
-                self._queue.task_done()
-
-    def _materialize_run(self, result: RunResult) -> None:
-        if self.fault_plan is not None:
-            spec = self.fault_plan.draw("drainer", result.run_id)
-            if spec is not None:
-                raise FaultInjected(
-                    f"injected drainer crash materializing {result.run_id}")
         run = run_from_result(result, registry=self.registry,
                               keep_values=self.keep_values)
         with self._lock:
             # the store write stays under the capture lock: backends are
             # not themselves thread-safe (e.g. sqlite3 connections), so a
             # shared capture must serialize saves from concurrent runs
-            if run.id in self._runs_by_id:
-                # a supervised retry whose first try died *after* the
-                # bookkeeping — don't double-append
-                self.runs = [r for r in self.runs if r.id != run.id]
+            self.stats.runs += 1
             self.runs.append(run)
             self._runs_by_id[run.id] = run
             if self.store is not None:
@@ -600,62 +387,24 @@ class ProvenanceCapture(ExecutionListener):
                                         fault_plan=self.fault_plan)
                 else:
                     self.store.save_run(run)
+        self._record("run-finish", result.run_id, "", result.status)
 
-    # -- completeness barriers ---------------------------------------------
-    def _raise_drainer_error(self) -> None:
-        """Re-raise (and clear) a pending drainer-side failure."""
-        error, self._drainer_error = self._drainer_error, None
-        if error is not None:
-            raise error
-
-    def flush(self) -> None:
-        """Block until every enqueued event and run is materialized.
-
-        A no-op for synchronous captures.  Re-raises the first exception
-        the drainer hit (e.g. a failing store write), so deferred errors
-        are not silently swallowed.
-        """
-        if self._queue is not None:
-            if self._queue.unfinished_tasks:
-                self._ensure_drainer()
-            self._queue.join()
-        self._raise_drainer_error()
-
-    def close(self) -> None:
-        """Flush, stop the drainer, and fall back to synchronous capture.
-
-        Idempotent — a second (or atexit-time) ``close()`` returns
-        immediately.  Events recorded after ``close()`` are processed
-        inline on the calling thread, so a closed capture keeps working.
-        """
-        if self._closed:
-            return
-        if self._queue is not None and (self._drainer is not None
-                                        or self._queue.unfinished_tasks):
-            self._ensure_drainer()
-            self._queue.join()
-            self._queue.put((_STOP,))
-            self._drainer.join()
-            self._drainer = None
-        self._closed = True
-        _LIVE_CAPTURES.discard(self)
-        self._raise_drainer_error()
-
-    def __enter__(self) -> "ProvenanceCapture":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
+    def _record(self, kind: str, run_id: str, subject: str,
+                detail: str) -> None:
+        """Append one event to the journal."""
+        event = CaptureEvent(time.time(), kind, run_id, subject=subject,
+                             detail=detail, seq=next(self._seq))
+        with self._lock:
+            self.stats.events += 1
+            self.journal.append(event)
 
     # -- access ------------------------------------------------------------
     def last_run(self) -> WorkflowRun:
         """The most recently captured run (IndexError when none)."""
-        self.flush()
         return self.runs[-1]
 
     def run_by_id(self, run_id: str) -> Optional[WorkflowRun]:
         """A captured run by id, or None — an O(1) index lookup."""
-        self.flush()
         with self._lock:
             return self._runs_by_id.get(run_id)
 
@@ -666,7 +415,6 @@ class ProvenanceCapture(ExecutionListener):
         the result is stable under clock adjustment and identical-timestamp
         bursts.
         """
-        self.flush()
         with self._lock:
             events = [e for e in self.journal if e.run_id == run_id]
         return sorted(events, key=lambda e: e.seq)
@@ -680,16 +428,11 @@ class ProvenanceCapture(ExecutionListener):
         """
         order = {"run-start": 0, "module-start": 1, "module-finish": 2,
                  "run-finish": 3}
-        self.flush()
         with self._lock:
             events = [e for e in self.journal if e.run_id == run_id]
         return sorted(
             ((e.event, e.subject, e.detail) for e in events),
             key=lambda item: (order.get(item[0], 9), item[1], item[2]))
-
-    def _journal(self, event: CaptureEvent) -> None:
-        with self._lock:
-            self.journal.append(event)
 
 
 class ScriptCapture:

@@ -34,6 +34,12 @@ __all__ = ["ProvenanceManager"]
 class ProvenanceManager:
     """Facade tying engine, capture, storage and annotations together.
 
+    Provenance is captured synchronously: :meth:`run` returns once the run
+    is recorded and saved to ``store``, and a failing store write raises
+    from :meth:`run`.  :meth:`close` (or leaving a ``with`` block) closes
+    the result cache the manager built from ``cache_path``; a ``cache`` or
+    ``store`` passed in stays open for its owner to close.
+
     Args:
         registry: module registry (defaults to the standard libraries).
         store: provenance storage backend (defaults to an in-memory store).
@@ -57,15 +63,6 @@ class ProvenanceManager:
             0 disables).
         keep_values: retain artifact values on captured runs (required for
             partial re-execution to reuse recorded results).
-        capture_queue: ``0`` (default) captures provenance synchronously
-            on the engine thread; ``> 0`` switches
-            :class:`~repro.core.capture.ProvenanceCapture` to the batched
-            pipeline — a bounded queue of this many items drained by a
-            background thread — so high-rate runs pay an enqueue, not the
-            full journal/materialization cost, per event.
-        capture_policy: back-pressure policy for a full capture queue —
-            ``"block"`` (lossless), ``"drop-detail"`` or ``"sample"``
-            (both thin journal detail only; executions are never lost).
         stream_batch: when set, captured runs are persisted through the
             store's streaming-ingest API
             (:meth:`~repro.storage.base.ProvenanceStore.save_run_stream`),
@@ -100,8 +97,6 @@ class ProvenanceManager:
                  backend: Optional[str] = None,
                  registry_provider: Optional[str] = None,
                  payload_spill_threshold: Optional[int] = None,
-                 capture_queue: int = 0,
-                 capture_policy: str = "block",
                  stream_batch: Optional[int] = None,
                  retry: Any = None,
                  fault_plan: Optional[Any] = None) -> None:
@@ -114,6 +109,9 @@ class ProvenanceManager:
         self.registry = registry
         self.store = store
         self.annotations = AnnotationStore()
+        # a cache the caller passed in is theirs to close; one built here
+        # (from cache_path or use_cache) is closed by close()
+        self._owns_cache = cache is None
         if cache is not None:
             self.cache: Optional[CacheStore] = cache
         elif cache_path is not None:
@@ -125,8 +123,6 @@ class ProvenanceManager:
                           if use_cache else None)
         self.capture = ProvenanceCapture(registry=registry, store=store,
                                          keep_values=keep_values,
-                                         queue_size=capture_queue,
-                                         policy=capture_policy,
                                          stream_batch=stream_batch,
                                          fault_plan=fault_plan)
         self.executor = Executor(
@@ -403,8 +399,12 @@ class ProvenanceManager:
 
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
-        """Drain and stop the capture pipeline (no-op in sync mode)."""
-        self.capture.close()
+        """Close the result cache this manager built (idempotent).
+
+        A ``cache`` or ``store`` passed in by the caller is left open.
+        """
+        if self._owns_cache and self.cache is not None:
+            self.cache.close()
 
     def __enter__(self) -> "ProvenanceManager":
         return self

@@ -158,11 +158,11 @@ class RelationalStore(ProvenanceStore):
                  store_values: bool = False) -> None:
         self.path = path
         self.store_values = store_values
-        # check_same_thread=False: batched capture materializes runs on a
-        # background drainer thread while the store was constructed on the
-        # caller's thread.  Cross-thread use is serialized by callers (the
-        # drainer is the sole writer during a stream; capture holds its
-        # lock around store writes), which is the pattern sqlite3 supports.
+        # check_same_thread=False: a capture shared by executors on other
+        # threads saves runs from those threads, not the one that built
+        # the store.  Cross-thread use is serialized by callers (capture
+        # holds its lock around store writes), which is the pattern
+        # sqlite3 supports.
         self._connection = sqlite3.connect(path, check_same_thread=False)
         self._connection.execute("PRAGMA foreign_keys = ON")
         self._connection.executescript(_SCHEMA)

@@ -1,8 +1,8 @@
 """Deterministic fault injection and retry policies.
 
 Faults in a workflow engine are expected events, not run-killers: a
-module raising on its first attempt, a pool worker dying mid-job, a
-drainer thread crashing, a torn write in the persistent cache.  This
+module raising on its first attempt, a pool worker dying mid-job, the
+coordinator dying mid-ingest, a torn write in the persistent cache.  This
 module provides the two halves of making that survivable *and*
 testable:
 
@@ -116,8 +116,8 @@ def resolve_retry(retry: RetryConfig, type_name: str) -> RetryPolicy:
 class FaultSpec:
     """One scripted fault.
 
-    ``site`` names the seam (``"module"``, ``"worker"``, ``"drainer"``,
-    ``"stream-flush"``, ``"cache-put"``, ``"lease"``, ``"shard-commit"``,
+    ``site`` names the seam (``"module"``, ``"stream-flush"``,
+    ``"cache-put"``, ``"lease"``, ``"shard-commit"``,
     ``"service-request"``); ``key`` is the seam-specific subject (module
     id, run id, cache key, shard, protocol op) or ``"*"``;
     ``attempts`` are the 1-based occurrence counts at which the fault
@@ -185,13 +185,6 @@ class FaultPlan:
         On in-process backends this degrades to a plain failure."""
         return self.add(FaultSpec("module", module_id,
                                   _as_attempts(attempts), "kill"))
-
-    def crash_drainer(self, run_id: str = "*",
-                      attempts: Union[int, Tuple[int, ...], List[int]] = 1
-                      ) -> "FaultPlan":
-        """Capture drainer raises while materializing the run."""
-        return self.add(FaultSpec("drainer", run_id,
-                                  _as_attempts(attempts), "fail"))
 
     def crash_stream(self, run_id: str = "*", flush: int = 1
                      ) -> "FaultPlan":

@@ -1,22 +1,17 @@
-"""Batched capture pipeline: sync/batched parity, back-pressure policies,
-streaming ingest, and the observed-process workload.
+"""Capture pipeline: synchronous capture, journal ordering, streaming
+ingest, and the observed-process workload.
 
-The contract under test: batched capture is an *optimization of when* the
-journal and the run are materialized — never of *what* is recorded.  A
-batched capture must produce byte-identical provenance to the synchronous
-path on every scheduler backend; the ``block`` policy must never lose
-anything; ``drop-detail``/``sample`` may thin module-level journal detail
-but never executions or bindings.
+The contract under test: every run is recorded and saved on the engine's
+coordinating thread, so a store failure surfaces from the run that hit it;
+streamed ingest reloads exactly what a monolithic ``save_run`` reloads.
 """
 
-import json
 import sys
 import time
 
 import pytest
 
-from repro.core import (CAPTURE_POLICIES, ProvenanceCapture,
-                        ProvenanceManager, run_from_result,
+from repro.core import (ProvenanceCapture, ProvenanceManager,
                         stream_run_to_store)
 from repro.core.capture import CaptureEvent
 from repro.storage.base import BufferedRunStream, StoreError
@@ -27,174 +22,47 @@ from repro.storage.triples import TripleProvenanceStore
 from repro.workflow import Executor
 from repro.workflow.modules.observed import (ObservedProcessSession,
                                              file_digest)
-from repro.workloads import random_workflow, wide_workflow
+from repro.workloads import random_workflow
 from tests.conftest import build_chain_workflow
 
-#: (label, executor kwargs) — the PR-4 determinism matrix.
-BACKEND_MATRIX = [
-    ("serial", {}),
-    ("thread", {"workers": 4}),
-    ("process", {"workers": 2, "backend": "process"}),
-]
+class _FlakyStore(MemoryStore):
+    """A store whose first ``save_run`` raises; later saves succeed."""
+
+    failed = False
+
+    def save_run(self, run):
+        if not self.failed:
+            self.failed = True
+            raise StoreError(f"injected save failure for {run.id}")
+        super().save_run(run)
 
 
-def _normalized_dict(run):
-    """``run.to_dict()`` as canonical JSON with artifact ids renamed in
-    first-seen order — the byte-identical comparison form (artifact ids
-    are the only freshly generated component of a materialized run)."""
-    rename = {}
-    for execution in run.executions:
-        for binding in (*execution.inputs, *execution.outputs):
-            rename.setdefault(binding.artifact_id, f"art-{len(rename):06d}")
-    for artifact_id in run.artifacts:
-        rename.setdefault(artifact_id, f"art-{len(rename):06d}")
-    text = json.dumps(run.to_dict(), sort_keys=True)
-    for old, new in rename.items():
-        text = text.replace(old, new)
-    return text
-
-
-def _provenance_fingerprint(run):
-    """Timing/id-independent digest of a captured WorkflowRun."""
-    executions = [(e.module_id, e.status,
-                   sorted((b.port, run.artifacts[b.artifact_id].value_hash)
-                          for b in e.inputs),
-                   sorted((b.port, run.artifacts[b.artifact_id].value_hash)
-                          for b in e.outputs))
-                  for e in run.executions]
-    return (run.status, executions,
-            sorted(a.value_hash for a in run.artifacts.values()))
-
-
-class TestBatchedSyncParity:
-    def test_same_engine_run_byte_identical(self, registry):
-        """Sync and batched captures attached to the same executor see the
-        same events and must materialize byte-identical runs."""
-        sync = ProvenanceCapture(registry=registry)
-        batched = ProvenanceCapture(registry=registry, queue_size=256)
-        executor = Executor(registry, listeners=[sync, batched])
-        result = executor.execute(build_chain_workflow(length=5, work=5))
-        with batched:
-            assert (_normalized_dict(sync.last_run())
-                    == _normalized_dict(batched.last_run()))
-            assert (sync.normalized_journal(result.run_id)
-                    == batched.normalized_journal(result.run_id))
-
-    @pytest.mark.parametrize("label,kwargs", BACKEND_MATRIX,
-                             ids=[label for label, _ in BACKEND_MATRIX])
-    def test_matrix_backend_parity(self, registry, label, kwargs):
-        workflow = wide_workflow(branches=4, depth=2, work=20)
-        prints = {}
-        for mode, queue_size in (("sync", 0), ("batched", 128)):
-            capture = ProvenanceCapture(registry=registry,
-                                        queue_size=queue_size)
-            with capture:
-                executor = Executor(registry, listeners=[capture],
-                                    **kwargs)
-                executor.execute(workflow)
-                prints[mode] = _provenance_fingerprint(capture.last_run())
-        assert prints["sync"] == prints["batched"]
-
+class TestSyncCapture:
     def test_multiple_runs_all_captured(self, registry):
-        capture = ProvenanceCapture(registry=registry, queue_size=16)
-        with capture:
-            executor = Executor(registry, listeners=[capture])
-            for _ in range(3):
-                executor.execute(build_chain_workflow(length=2, work=1))
-            capture.flush()
-            assert len(capture.runs) == 3
-            assert capture.stats.runs == 3
-
-    def test_close_idempotent_and_reverts_to_sync(self, registry):
-        capture = ProvenanceCapture(registry=registry, queue_size=16)
+        capture = ProvenanceCapture(registry=registry)
         executor = Executor(registry, listeners=[capture])
-        executor.execute(build_chain_workflow(length=2, work=1))
-        capture.close()
-        capture.close()
-        assert not capture.batched
-        # post-close events are processed inline (sync mode)
-        executor.execute(build_chain_workflow(length=2, work=1))
-        assert len(capture.runs) == 2
+        for _ in range(3):
+            executor.execute(build_chain_workflow(length=2, work=1))
+        assert len(capture.runs) == 3
+        assert capture.stats.runs == 3
 
-
-class TestBackPressure:
-    def test_policy_validation(self, registry):
-        with pytest.raises(ValueError):
-            ProvenanceCapture(registry=registry, policy="bogus")
-        with pytest.raises(ValueError):
-            ProvenanceCapture(registry=registry, queue_size=-1)
-        assert set(CAPTURE_POLICIES) == {"block", "drop-detail", "sample"}
-
-    def test_block_never_loses_anything(self, registry):
-        """A one-slot queue with a slow drainer forces back-pressure on
-        every event; with ``block`` the journal still ends complete."""
-        capture = ProvenanceCapture(registry=registry, queue_size=1)
-        capture.drain_delay = 0.001
-        workflow = build_chain_workflow(length=5, work=1)
-        with capture:
-            result = Executor(registry,
-                              listeners=[capture]).execute(workflow)
-            capture.flush()
-            journal = capture.normalized_journal(result.run_id)
-            kinds = [event for event, _, _ in journal]
-            assert kinds.count("module-start") == len(workflow.modules)
-            assert kinds.count("module-finish") == len(workflow.modules)
-            assert capture.stats.dropped == 0
-            assert capture.stats.sampled_out == 0
-            assert len(capture.last_run().executions) == \
-                len(workflow.modules)
-
-    def test_drop_detail_thins_journal_not_executions(self, registry):
-        capture = ProvenanceCapture(registry=registry, queue_size=1,
-                                    policy="drop-detail")
-        capture.drain_delay = 0.002
-        workflow = build_chain_workflow(length=8, work=1)
-        with capture:
-            result = Executor(registry,
-                              listeners=[capture]).execute(workflow)
-            capture.flush()
-            # detail was dropped under pressure...
-            assert capture.stats.dropped > 0
-            journal = capture.normalized_journal(result.run_id)
-            kinds = [event for event, _, _ in journal]
-            assert kinds.count("module-start") < len(workflow.modules)
-            # ...but run lifecycle events and every execution survive
-            assert kinds.count("run-start") == 1
-            assert kinds.count("run-finish") == 1
-            run = capture.last_run()
-            assert len(run.executions) == len(workflow.modules)
-            assert all(e.inputs or e.outputs for e in run.executions)
-
-    def test_sample_thins_at_source(self, registry):
-        capture = ProvenanceCapture(registry=registry, queue_size=64,
-                                    policy="sample", sample_every=4)
-        workflow = build_chain_workflow(length=10, work=1)
-        with capture:
-            result = Executor(registry,
-                              listeners=[capture]).execute(workflow)
-            capture.flush()
-            assert capture.stats.sampled_out > 0
-            journal = capture.normalized_journal(result.run_id)
-            kinds = [event for event, _, _ in journal]
-            module_events = (kinds.count("module-start")
-                             + kinds.count("module-finish"))
-            # 1-in-4 sampling keeps roughly a quarter of 2N module events
-            assert module_events <= len(workflow.modules)
-            assert kinds.count("run-start") == 1
-            assert kinds.count("run-finish") == 1
-            # bindings/executions are never sampled away
-            run = capture.last_run()
-            assert len(run.executions) == len(workflow.modules)
-            assert _provenance_fingerprint(run)[0] == "ok"
-
-    def test_drainer_error_surfaces_on_flush(self, registry):
-        capture = ProvenanceCapture(registry=registry, queue_size=8)
-        capture.store = object()  # save_run missing -> drainer AttributeError
+    def test_store_error_raises_from_execute(self, registry):
+        """A failing store write surfaces from the run that hit it, and
+        the same capture keeps capturing and saving later runs."""
+        store = _FlakyStore()
+        capture = ProvenanceCapture(registry=registry, store=store)
         executor = Executor(registry, listeners=[capture])
-        executor.execute(build_chain_workflow(length=2, work=1))
-        with pytest.raises(AttributeError):
-            capture.flush()
-        capture.close()
+        with pytest.raises(StoreError, match="injected save failure"):
+            executor.execute(build_chain_workflow(length=2, work=1))
+        failed_id = capture.last_run().id
+        assert not store.has_run(failed_id)
+
+        result = executor.execute(build_chain_workflow(length=3, work=1))
+        assert result.status == "ok"
+        assert capture.last_run().id == result.run_id != failed_id
+        assert (store.load_run(result.run_id).to_dict()
+                == capture.last_run().to_dict())
+        assert capture.stats.runs == 2
 
 
 class TestJournalOrdering:
@@ -237,9 +105,7 @@ def _captured_run(registry, store=None, **capture_kwargs):
                                 **capture_kwargs)
     executor = Executor(registry, listeners=[capture])
     executor.execute(random_workflow(modules=12, width=4, seed=5, work=2))
-    run = capture.last_run()
-    capture.close()
-    return run
+    return capture.last_run()
 
 
 class TestStreamingIngest:
@@ -264,8 +130,7 @@ class TestStreamingIngest:
 
     def test_relational_reloads_identical_with_values(self, registry):
         store = RelationalStore(store_values=True)
-        run = _captured_run(registry, store=store, queue_size=32,
-                            stream_batch=2)
+        run = _captured_run(registry, store=store, stream_batch=2)
         reloaded = store.load_run(run.id)
         assert reloaded.to_dict() == run.to_dict()
         assert reloaded.values == run.values
@@ -347,7 +212,6 @@ class TestStreamingIngest:
     def test_manager_stream_batch_end_to_end(self, registry):
         store = RelationalStore(store_values=True)
         with ProvenanceManager(registry=registry, store=store,
-                               capture_queue=64,
                                stream_batch=3) as manager:
             run = manager.run(random_workflow(modules=10, seed=9, work=2))
         assert store.load_run(run.id).to_dict() == run.to_dict()

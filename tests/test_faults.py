@@ -9,8 +9,6 @@ provenance, and artifacts/lineage identical to a fault-free run.
 
 from __future__ import annotations
 
-import subprocess
-import sys
 import threading
 import time
 
@@ -111,16 +109,16 @@ class TestFaultPlan:
 
     def test_sites_are_independent(self):
         plan = FaultPlan().fail_module("x")
-        assert plan.draw("drainer", "x") is None
+        assert plan.draw("stream-flush", "x") is None
         assert plan.draw("module", "x") is not None
 
     def test_fired_at_filters_by_site(self):
         plan = (FaultPlan().fail_module("m")
-                .crash_drainer("r"))
+                .crash_stream("r"))
         plan.draw("module", "m")
-        plan.draw("drainer", "r")
+        plan.draw("stream-flush", "r")
         assert len(plan.fired_at("module")) == 1
-        assert len(plan.fired_at("drainer")) == 1
+        assert len(plan.fired_at("stream-flush")) == 1
 
 
 class TestModuleContextDeadline:
@@ -445,65 +443,6 @@ class TestHeartbeatLifecycle:
         while _heartbeat_threads() and time.monotonic() < deadline:
             time.sleep(0.02)
         assert not _heartbeat_threads()
-
-
-class TestCaptureFaults:
-    def test_drainer_crash_retries_materialization(self, registry):
-        store = MemoryStore()
-        plan = FaultPlan().crash_drainer()
-        capture = ProvenanceCapture(registry=registry, store=store,
-                                    queue_size=32, fault_plan=plan)
-        workflow = build_fig1_workflow(size=6)
-        result = Executor(registry, listeners=[capture]).execute(workflow)
-        capture.close()
-        assert plan.fired_at("drainer")
-        assert store.has_run(result.run_id)
-        assert len(store.load_run(result.run_id).executions) == 5
-
-    def test_capture_atexit_flushes_queued_tail(self, registry,
-                                                tmp_path):
-        # a process that exits without close() must not lose the queued
-        # run: the atexit hook drains and flushes it
-        db = str(tmp_path / "atexit.db")
-        code = "\n".join([
-            "import sys",
-            f"sys.path.insert(0, {repr('src')})",
-            "from repro.core.capture import ProvenanceCapture",
-            "from repro.storage.relational import RelationalStore",
-            "from repro.workflow.engine import Executor",
-            "from repro.workflow.modules import standard_registry",
-            "from repro.workflow.spec import Module, Workflow",
-            "registry = standard_registry()",
-            f"store = RelationalStore({db!r})",
-            "capture = ProvenanceCapture(registry=registry, store=store,",
-            "                            queue_size=64)",
-            "workflow = Workflow('atexit')",
-            "workflow.add_module(Module('Constant', name='c',",
-            "                           parameters={'value': 7}))",
-            "result = Executor(registry,",
-            "                  listeners=[capture]).execute(workflow)",
-            "print(result.run_id)",
-            "# deliberately no capture.close(): atexit must flush",
-        ])
-        completed = subprocess.run(
-            [sys.executable, "-c", code], cwd="/root/repo",
-            capture_output=True, text=True, timeout=120)
-        assert completed.returncode == 0, completed.stderr
-        run_id = completed.stdout.strip().splitlines()[-1]
-        store = RelationalStore(db)
-        try:
-            assert store.has_run(run_id)
-            assert len(store.load_run(run_id).executions) == 1
-        finally:
-            store.close()
-
-    def test_capture_close_is_idempotent(self, registry):
-        capture = ProvenanceCapture(registry=registry, store=MemoryStore(),
-                                    queue_size=8)
-        workflow = build_chain_workflow(length=1, work=5)
-        Executor(registry, listeners=[capture]).execute(workflow)
-        capture.close()
-        capture.close()  # second close must be a no-op, not an error
 
 
 class TestManagerIntegration:

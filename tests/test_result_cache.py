@@ -435,3 +435,37 @@ print(len(manager.last_engine_result.executed_modules()))
             capture_output=True, text=True, env=env, cwd=REPO_ROOT)
         assert second.returncode == 0, second.stderr
         assert second.stdout.strip() == "0"
+
+
+class TestManagerClose:
+    """``ProvenanceManager.close()`` closes the cache it built from
+    ``cache_path``, never a cache or store the caller passed in."""
+
+    def test_closes_cache_built_from_path(self, tmp_path):
+        from repro.core import ProvenanceManager
+        from tests.conftest import build_fig1_workflow
+        with ProvenanceManager(cache_path=str(tmp_path / "own.db")) \
+                as manager:
+            manager.run(build_fig1_workflow(size=4))
+            cache = manager.cache
+            assert cache._connection is not None
+        assert cache._connection is None
+        manager.close()  # idempotent
+
+    def test_leaves_caller_cache_and_store_open(self, tmp_path):
+        from repro.core import ProvenanceManager
+        from repro.storage import RelationalStore
+        from tests.conftest import build_fig1_workflow
+        cache = PersistentResultCache(tmp_path / "theirs.db")
+        store = RelationalStore(str(tmp_path / "prov.db"))
+        try:
+            with ProvenanceManager(cache=cache, store=store) as manager:
+                run = manager.run(build_fig1_workflow(size=4))
+            # both still answer after the manager closed
+            assert store.has_run(run.id)
+            cache.put("after-close", entry("after-close"))
+            assert cache.get("after-close").outputs == {
+                "out": "after-close"}
+        finally:
+            cache.close()
+            store.close()

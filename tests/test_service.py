@@ -722,24 +722,9 @@ class TestObservedProcessFaults:
 
 
 # ----------------------------------------------------------------------
-# ingest-error propagation (drainer + stream-flush atomicity)
+# ingest-error propagation (stream-flush atomicity)
 # ----------------------------------------------------------------------
 class TestIngestErrorPropagation:
-    def test_drainer_error_fails_next_run_handoff(self, registry):
-        # both the first try and the supervised retry crash, so the
-        # failure is pending when the *next* run is handed off — it must
-        # surface there, not linger until flush()
-        plan = FaultPlan().crash_drainer("*", attempts=(1, 2))
-        capture = ProvenanceCapture(registry=registry, store=MemoryStore(),
-                                    queue_size=4, fault_plan=plan)
-        executor = Executor(registry, listeners=[capture])
-        executor.execute(build_fig1_workflow(size=6))
-        assert _wait_until(lambda: capture._drainer_error is not None)
-        with pytest.raises(FaultInjected):
-            executor.execute(build_fig1_workflow(size=6))
-        # the error was consumed at the hand-off; close() stays clean
-        capture.close()
-
     def test_flush_failure_rolls_back_whole_batch(self, corpus):
         store = RelationalStore()
         run = clone_run(corpus[0], "atomic")
