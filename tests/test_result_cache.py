@@ -13,8 +13,11 @@ import threading
 
 import pytest
 
+from repro.core import ProvenanceManager
+from repro.storage import RelationalStore
 from repro.workflow.cache import (CacheEntry, PersistentResultCache,
                                   ResultCache)
+from tests.conftest import build_fig1_workflow
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -442,8 +445,6 @@ class TestManagerClose:
     ``cache_path``, never a cache or store the caller passed in."""
 
     def test_closes_cache_built_from_path(self, tmp_path):
-        from repro.core import ProvenanceManager
-        from tests.conftest import build_fig1_workflow
         with ProvenanceManager(cache_path=str(tmp_path / "own.db")) \
                 as manager:
             manager.run(build_fig1_workflow(size=4))
@@ -453,9 +454,6 @@ class TestManagerClose:
         manager.close()  # idempotent
 
     def test_leaves_caller_cache_and_store_open(self, tmp_path):
-        from repro.core import ProvenanceManager
-        from repro.storage import RelationalStore
-        from tests.conftest import build_fig1_workflow
         cache = PersistentResultCache(tmp_path / "theirs.db")
         store = RelationalStore(str(tmp_path / "prov.db"))
         try:
