@@ -61,6 +61,12 @@ DEFAULT_MAX_ENTRIES = 1024
 #: compute, and a premature expiry merely costs one duplicate computation.
 DEFAULT_LEASE_TTL = 60.0
 
+#: How often opening a persistent cache retries a lock-contention error
+#: (``sqlite3.OperationalError``) before treating the file as unreadable,
+#: and the pause between tries (seconds).
+_CONNECT_ATTEMPTS = 25
+_CONNECT_RETRY_DELAY = 0.02
+
 
 @dataclass
 class CacheEntry:
@@ -422,6 +428,29 @@ class PersistentResultCache(CacheStore):
 
     # -- connection management -----------------------------------------
     def _connect(self) -> None:
+        """Open the database, retrying while another connection holds it.
+
+        Two caches opening the same fresh file at once can make the WAL
+        switch fail at once with "database is locked" (that pragma does
+        not wait on the busy timeout).  The file is healthy, so retry
+        instead of letting the caller fall back to :meth:`_reset_file`,
+        which would delete the file under the other connection and leave
+        the two caches uncoordinated.  A file that is not a database
+        raises ``sqlite3.DatabaseError`` and is never retried.
+        """
+        for attempt in range(_CONNECT_ATTEMPTS):
+            try:
+                self._open_connection()
+                return
+            except sqlite3.OperationalError:
+                if self._connection is not None:
+                    self._connection.close()
+                    self._connection = None
+                if attempt == _CONNECT_ATTEMPTS - 1:
+                    raise
+                time.sleep(_CONNECT_RETRY_DELAY)
+
+    def _open_connection(self) -> None:
         self._connection = sqlite3.connect(self.path, timeout=30.0,
                                            check_same_thread=False)
         # must precede table creation to take effect on fresh databases;

@@ -6,7 +6,9 @@ coordinating thread, so a store failure surfaces from the run that hit it;
 streamed ingest reloads exactly what a monolithic ``save_run`` reloads.
 """
 
+import json
 import sys
+import threading
 import time
 
 import pytest
@@ -22,8 +24,45 @@ from repro.storage.triples import TripleProvenanceStore
 from repro.workflow import Executor
 from repro.workflow.modules.observed import (ObservedProcessSession,
                                              file_digest)
-from repro.workloads import random_workflow
+from repro.workloads import random_workflow, wide_workflow
 from tests.conftest import build_chain_workflow
+
+#: (label, executor kwargs) for the scheduler backends.
+BACKEND_MATRIX = [
+    ("serial", {}),
+    ("thread", {"workers": 4}),
+    ("process", {"workers": 2, "backend": "process"}),
+]
+
+
+def _normalized_dict(run):
+    """``run.to_dict()`` as canonical JSON with artifact ids renamed in
+    first-seen order — the byte-identical comparison form (artifact ids
+    are the only freshly generated component of a materialized run)."""
+    rename = {}
+    for execution in run.executions:
+        for binding in (*execution.inputs, *execution.outputs):
+            rename.setdefault(binding.artifact_id, f"art-{len(rename):06d}")
+    for artifact_id in run.artifacts:
+        rename.setdefault(artifact_id, f"art-{len(rename):06d}")
+    text = json.dumps(run.to_dict(), sort_keys=True)
+    for old, new in rename.items():
+        text = text.replace(old, new)
+    return text
+
+
+def _provenance_fingerprint(run):
+    """Timing/id-independent digest of a captured WorkflowRun."""
+    executions = sorted(
+        (e.module_id, e.status,
+         sorted((b.port, run.artifacts[b.artifact_id].value_hash)
+                for b in e.inputs),
+         sorted((b.port, run.artifacts[b.artifact_id].value_hash)
+                for b in e.outputs))
+        for e in run.executions)
+    return (run.status, executions,
+            sorted(a.value_hash for a in run.artifacts.values()))
+
 
 class _FlakyStore(MemoryStore):
     """A store whose first ``save_run`` raises; later saves succeed."""
@@ -63,6 +102,101 @@ class TestSyncCapture:
         assert (store.load_run(result.run_id).to_dict()
                 == capture.last_run().to_dict())
         assert capture.stats.runs == 2
+
+    def test_same_engine_run_byte_identical(self, registry):
+        """Two captures attached to one executor see the same events and
+        materialize byte-identical runs: what is recorded depends only
+        on the engine's events."""
+        first = ProvenanceCapture(registry=registry)
+        second = ProvenanceCapture(registry=registry)
+        executor = Executor(registry, listeners=[first, second])
+        workflow = build_chain_workflow(length=5, work=5)
+        result = executor.execute(workflow)
+        assert (_normalized_dict(first.last_run())
+                == _normalized_dict(second.last_run()))
+        assert (first.normalized_journal(result.run_id)
+                == second.normalized_journal(result.run_id))
+        # run start/finish plus a start/finish pair per module
+        assert (first.stats.events == second.stats.events
+                == 2 + 2 * len(workflow.modules))
+
+    @pytest.mark.parametrize("label,kwargs", BACKEND_MATRIX,
+                             ids=[label for label, _ in BACKEND_MATRIX])
+    def test_shared_capture_across_threads(self, registry, label, kwargs):
+        """One capture shared by two executors running at once on two
+        threads records and saves both runs whole, each as a lone
+        capture of the same workflow records it."""
+        workflow = wide_workflow(branches=4, depth=2, work=20)
+        alone = ProvenanceCapture(registry=registry)
+        Executor(registry, listeners=[alone], **kwargs).execute(workflow)
+        expected = _provenance_fingerprint(alone.last_run())
+
+        store = MemoryStore()
+        shared = ProvenanceCapture(registry=registry, store=store)
+        results, errors = [], []
+        start = threading.Barrier(2)
+
+        def one_run():
+            try:
+                executor = Executor(registry, listeners=[shared], **kwargs)
+                start.wait()
+                results.append(executor.execute(workflow))
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=one_run) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors, errors
+        assert shared.stats.runs == 2
+        assert shared.stats.events == len(shared.journal)
+        assert len({event.seq for event in shared.journal}) == \
+            len(shared.journal)
+        for result in results:
+            run = shared.run_by_id(result.run_id)
+            assert _provenance_fingerprint(run) == expected
+            assert (_provenance_fingerprint(store.load_run(run.id))
+                    == expected)
+            assert (shared.normalized_journal(result.run_id)
+                    == alone.normalized_journal(alone.last_run().id))
+
+    def test_stream_error_aborts_partial_run(self, registry):
+        """A streamed save that fails mid-run raises from the run that
+        hit it and leaves nothing of that run in the store; the next run
+        on the same capture streams in whole."""
+        store = _FailFirstFlushStore(store_values=True)
+        capture = ProvenanceCapture(registry=registry, store=store,
+                                    stream_batch=2)
+        executor = Executor(registry, listeners=[capture])
+        with pytest.raises(StoreError, match="injected flush failure"):
+            executor.execute(build_chain_workflow(length=4, work=1))
+        assert not store.has_run(capture.last_run().id)
+
+        result = executor.execute(build_chain_workflow(length=4, work=1))
+        assert (store.load_run(result.run_id).to_dict()
+                == capture.last_run().to_dict())
+
+
+class _FailFirstFlushStore(RelationalStore):
+    """A relational store whose first streamed ``flush`` raises after
+    the batch is staged; later flushes succeed."""
+
+    failed = False
+
+    def save_run_stream(self, header):
+        writer = super().save_run_stream(header)
+        flush = writer.flush
+
+        def failing_flush():
+            if not self.failed:
+                self.failed = True
+                raise StoreError(f"injected flush failure for {header.id}")
+            flush()
+
+        writer.flush = failing_flush
+        return writer
 
 
 class TestJournalOrdering:

@@ -17,11 +17,12 @@ import pytest
 from tests.conftest import (build_chain_workflow, build_fig1_workflow,
                             module_by_name)
 from repro.core.capture import ProvenanceCapture
-from repro.storage import MemoryStore, RelationalStore, fsck_cache
+from repro.storage import (MemoryStore, RelationalStore, fsck_cache,
+                           fsck_store, resume_run)
 from repro.workflow import (Executor, FaultInjected, FaultPlan, FaultSpec,
-                            Module, ModuleContext, PersistentResultCache,
-                            ResultCache, RetryPolicy, Workflow,
-                            resolve_retry)
+                            HardCrash, Module, ModuleContext,
+                            PersistentResultCache, ResultCache, RetryPolicy,
+                            Workflow, resolve_retry)
 
 BACKENDS = [("serial", {}),
             ("thread", {"workers": 2}),
@@ -443,6 +444,27 @@ class TestHeartbeatLifecycle:
         while _heartbeat_threads() and time.monotonic() < deadline:
             time.sleep(0.02)
         assert not _heartbeat_threads()
+
+
+class TestCaptureFaults:
+    def test_stream_crash_leaves_resumable_partial_run(self, registry):
+        """A coordinator crash mid-stream escapes ``execute`` without an
+        abort; the capture still holds the whole run, from which the
+        committed prefix in the store is resumed."""
+        store = RelationalStore()
+        plan = FaultPlan().crash_stream(flush=2)
+        capture = ProvenanceCapture(registry=registry, store=store,
+                                    stream_batch=2, fault_plan=plan)
+        executor = Executor(registry, listeners=[capture])
+        with pytest.raises(HardCrash):
+            executor.execute(build_fig1_workflow(size=6))
+        assert len(plan.fired_at("stream-flush")) == 1
+        run = capture.last_run()
+        assert [issue.kind for issue in fsck_store(store)] == ["partial-run"]
+        resume_run(store, run)
+        assert fsck_store(store) == []
+        assert len(store.load_run(run.id).executions) == 5
+        store.close()
 
 
 class TestManagerIntegration:

@@ -405,6 +405,77 @@ class TestConcurrentWriters:
         assert len(first) == len(second) == 50
 
 
+class TestConcurrentOpen:
+    """Opening one cache file from several connections at once must not
+    be mistaken for a broken file: a reset would delete the file under
+    the other connection and leave the two caches uncoordinated."""
+
+    def test_lock_contention_on_open_keeps_the_file(self, tmp_path,
+                                                    monkeypatch):
+        import sqlite3
+        path = tmp_path / "shared.db"
+        first = PersistentResultCache(path)
+        assert first.acquire_lease("k", "run-1")
+        real_connect = sqlite3.connect
+        calls = []
+
+        def contended_connect(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise sqlite3.OperationalError("database is locked")
+            return real_connect(*args, **kwargs)
+
+        monkeypatch.setattr(sqlite3, "connect", contended_connect)
+        second = PersistentResultCache(path)
+        monkeypatch.undo()
+        assert len(calls) == 2
+        # same file: the first cache's lease and entries are visible
+        assert not second.acquire_lease("k", "run-2")
+        first.put("k", entry("x"))
+        assert second.get("k").source_execution == "exec-x"
+        first.close()
+        second.close()
+
+    def test_simultaneous_opens_of_a_fresh_file_coordinate(self,
+                                                           tmp_path):
+        for index in range(40):
+            path = tmp_path / f"fresh-{index}.db"
+            caches, errors = [], []
+            start = threading.Barrier(2)
+
+            def open_cache():
+                try:
+                    start.wait()
+                    caches.append(PersistentResultCache(path))
+                except Exception as exc:  # pragma: no cover
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=open_cache)
+                       for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert not errors, errors
+            first, second = caches
+            assert first.acquire_lease("k", "a")
+            assert not second.acquire_lease("k", "b"), index
+            first.close()
+            second.close()
+
+    def test_unopenable_path_degrades_to_a_no_op_cache(self, tmp_path):
+        import time
+        path = tmp_path / "missing-dir" / "c.db"
+        started = time.monotonic()
+        cache = PersistentResultCache(path)
+        assert time.monotonic() - started < 10.0   # retries are bounded
+        assert cache.get("k") is None
+        cache.put("k", entry("x"))
+        assert len(cache) == 0
+        assert cache.acquire_lease("k", "anyone")  # no coordination
+        cache.close()
+
+
 class TestFreshProcessReuse:
     """The acceptance scenario: a run in one OS process, a rerun in
     another, zero recomputation in between."""
@@ -452,6 +523,27 @@ class TestManagerClose:
             assert cache._connection is not None
         assert cache._connection is None
         manager.close()  # idempotent
+
+    def test_closes_built_cache_when_the_block_raises(self, tmp_path):
+        with pytest.raises(RuntimeError, match="mid-session"):
+            with ProvenanceManager(
+                    cache_path=str(tmp_path / "own.db")) as manager:
+                manager.run(build_fig1_workflow(size=4))
+                cache = manager.cache
+                raise RuntimeError("mid-session")
+        assert cache._connection is None
+
+    def test_caller_cache_serves_a_later_manager(self, tmp_path):
+        cache = PersistentResultCache(tmp_path / "theirs.db")
+        try:
+            with ProvenanceManager(cache=cache) as manager:
+                first = manager.run(build_fig1_workflow(size=4))
+            with ProvenanceManager(cache=cache) as manager:
+                second = manager.run(build_fig1_workflow(size=4))
+            assert {e.status for e in first.executions} == {"ok"}
+            assert {e.status for e in second.executions} == {"cached"}
+        finally:
+            cache.close()
 
     def test_leaves_caller_cache_and_store_open(self, tmp_path):
         cache = PersistentResultCache(tmp_path / "theirs.db")

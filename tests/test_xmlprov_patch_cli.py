@@ -142,6 +142,15 @@ class TestCli:
         output = capsys.readouterr().out
         assert "status: ok" in output
 
+    @pytest.mark.parametrize("flag,value", [("--capture-queue", "8"),
+                                            ("--capture-policy", "block")])
+    def test_demo_has_no_batched_capture_flags(self, capsys, flag, value):
+        # capture is synchronous only; the batched-mode flags are gone
+        with pytest.raises(SystemExit) as exit_info:
+            main(["demo", "--size", "4", flag, value])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_query(self, capsys):
         assert main(["query", "COUNT EXECUTIONS"]) == 0
         assert capsys.readouterr().out.strip() == "6"
