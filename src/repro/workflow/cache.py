@@ -13,12 +13,12 @@ The cache is a *pluggable store*: the engine talks to the tiny
 
 * :class:`ResultCache` — the in-memory thread-safe LRU (the default);
 * :class:`PersistentResultCache` — a SQLite-backed store (WAL journal,
-  per-operation transactions) that survives process boundaries and
-  restarts, so a rerun in a *fresh* process can still reuse every result
-  whose causal signature is unchanged.  Concurrent readers and writers —
-  including separate OS processes sharing one cache file — are safe; a
-  corrupted or truncated cache file degrades to clean misses (the cache is
-  an accelerator, never a source of truth).
+  one transaction per write, read-only hits) that survives process
+  boundaries and restarts, so a rerun in a *fresh* process can still
+  reuse every result whose causal signature is unchanged.  Concurrent
+  readers and writers — including separate OS processes sharing one
+  cache file — are safe; a corrupted or truncated cache file degrades to
+  clean misses (the cache is an accelerator, never a source of truth).
 
 Both stores are *resource-governed*: capacity can be bounded by entry
 count (``max_entries``) and by total stored payload bytes (``max_bytes``),
@@ -162,7 +162,13 @@ class CacheStore:
     supports_leases: bool = False
 
     def get(self, key: CacheKey) -> Optional[CacheEntry]:
-        """Return the entry for ``key`` (refreshing recency) or None."""
+        """Return the entry for ``key`` or None.
+
+        A hit makes ``key`` the most recently used entry for eviction; a
+        store may defer recording that recency (see
+        :class:`PersistentResultCache`), but never changes the eviction
+        order a later write of the same instance observes.
+        """
         raise NotImplementedError
 
     def put(self, key: CacheKey, entry: CacheEntry) -> None:
@@ -377,12 +383,23 @@ class PersistentResultCache(CacheStore):
     Entries are ``(key, pickled (outputs, output_hashes), source
     execution)`` rows; recency is a monotone sequence number so LRU
     eviction matches :class:`ResultCache` exactly for the same operation
-    order.  The database runs in WAL mode with per-operation transactions
+    order.  The database runs in WAL mode with one transaction per write
     — the same discipline as the relational provenance backend — so
     concurrent writers (threads *or* separate processes pointing at the
     same path) never corrupt the file.  ``auto_vacuum`` is enabled on
     databases this class creates, so evictions return pages to the
     filesystem and the file size tracks the byte budget under churn.
+
+    Hits are read-only: :meth:`get` reads and unpickles the row and
+    stages its recency touch in memory, writing nothing.  Staged touches
+    reach the file in one batch, in hit order, inside this instance's
+    next write transaction — :meth:`put` (before it evicts, so eviction
+    order is exactly :class:`ResultCache`'s), :meth:`acquire_lease`,
+    :meth:`release_lease` — or at :meth:`close`.  Another process sharing
+    the file therefore sees this instance's recency only from that point
+    on.  A process that exits without :meth:`close` loses only the
+    recency of its last hits: those entries may be evicted earlier than
+    strict LRU would, but no entry's value is ever affected.
 
     Compute leases are rows in a ``leases`` table claimed with an atomic
     insert, so *separate OS processes* sharing one cache file coordinate
@@ -390,10 +407,12 @@ class PersistentResultCache(CacheStore):
 
     Failure semantics: a cache is an accelerator.  Any storage-level
     problem — corrupted file, truncated mid-write, unpicklable value —
-    degrades to a miss (and, for file-level corruption, a best-effort
-    reset of the cache file); no cache operation ever raises into the
-    engine.  A broken store grants every lease, degrading to uncoordinated
-    (pre-lease) computation.
+    degrades to a miss; no cache operation ever raises into the engine.
+    Read paths (:meth:`get`, ``in``, ``len``, :meth:`total_bytes`) leave
+    the file alone on an error, since a peer may have it open; only the
+    constructor and write paths reset a file they cannot use.  A broken
+    store grants every lease, degrading to uncoordinated (pre-lease)
+    computation.
 
     Args:
         path: cache database file (created if missing).
@@ -421,6 +440,9 @@ class PersistentResultCache(CacheStore):
         self.stats = CacheStats()
         self._lock = threading.RLock()
         self._connection: Optional[sqlite3.Connection] = None
+        # keys hit since the last write, least recent first (a dict is
+        # insertion-ordered); see _apply_touches
+        self._touches: Dict[CacheKey, None] = {}
         try:
             self._connect()
         except sqlite3.Error:
@@ -487,23 +509,50 @@ class PersistentResultCache(CacheStore):
             self._connection = None
 
     def close(self) -> None:
-        """Close the database connection (idempotent)."""
+        """Write staged recency touches, then close the database
+        connection (idempotent)."""
         with self._lock:
             if self._connection is not None:
+                try:
+                    with self._connection:
+                        self._apply_touches()
+                except sqlite3.Error:
+                    pass  # recency is best-effort
                 try:
                     self._connection.close()
                 except sqlite3.Error:
                     pass
                 self._connection = None
+            self._touches.clear()
 
     def _next_seq(self, cursor: sqlite3.Cursor) -> int:
         row = cursor.execute(
             "SELECT COALESCE(MAX(seq), 0) + 1 FROM entries").fetchone()
         return int(row[0])
 
+    def _apply_touches(self) -> None:
+        """Write the staged hits' recency inside the caller's transaction.
+
+        Touched keys take fresh sequence numbers above every stored one,
+        in hit order, which is exactly where :class:`ResultCache` moved
+        them.  A touched key a peer has since dropped updates no row.
+        """
+        if not self._touches:
+            return
+        first = self._next_seq(self._connection.cursor())
+        self._connection.executemany(
+            "UPDATE entries SET seq = ? WHERE key = ?",
+            [(first + offset, key)
+             for offset, key in enumerate(self._touches)])
+        self._touches.clear()
+
     # -- CacheStore -----------------------------------------------------
     def get(self, key: CacheKey) -> Optional[CacheEntry]:
-        """Entry for ``key`` or None; storage errors count as misses."""
+        """Entry for ``key`` or None; storage errors count as misses.
+
+        Writes nothing on a hit: the recency touch is staged in memory
+        (see the class docstring).
+        """
         with self._lock:
             row = None
             if self._connection is not None:
@@ -512,7 +561,7 @@ class PersistentResultCache(CacheStore):
                         "SELECT payload, source_execution FROM entries"
                         " WHERE key = ?", (key,)).fetchone()
                 except sqlite3.Error:
-                    self._reset_file()
+                    pass  # a read error is a miss; never reset here
             if row is None:
                 self.stats.misses += 1
                 return None
@@ -523,16 +572,11 @@ class PersistentResultCache(CacheStore):
                 self.stats.misses += 1
                 self._drop_corrupt(key)
                 return None
-            try:
-                with self._connection:
-                    self._connection.execute(
-                        "UPDATE entries SET seq = ? WHERE key = ?",
-                        (self._next_seq(self._connection.cursor()), key))
-            except sqlite3.Error:
-                pass  # recency refresh is best-effort
+            self._touches.pop(key, None)
+            self._touches[key] = None
             self.stats.hits += 1
-            return CacheEntry(outputs=dict(outputs),
-                              output_hashes=dict(output_hashes),
+            # unpickling built fresh dicts: no copy needed
+            return CacheEntry(outputs=outputs, output_hashes=output_hashes,
                               source_execution=row[1])
 
     def _drop_corrupt(self, key: CacheKey) -> None:
@@ -569,6 +613,8 @@ class PersistentResultCache(CacheStore):
             try:
                 with self._connection:
                     cursor = self._connection.cursor()
+                    # before the insert: the new row must stay the newest
+                    self._apply_touches()
                     cursor.execute(
                         "INSERT OR REPLACE INTO entries VALUES (?,?,?,?)",
                         (key, payload, entry.source_execution,
@@ -620,6 +666,7 @@ class PersistentResultCache(CacheStore):
     def invalidate(self, key: CacheKey) -> bool:
         """Drop ``key``; return True when it was present."""
         with self._lock:
+            self._touches.pop(key, None)
             if self._connection is None:
                 return False
             try:
@@ -637,6 +684,7 @@ class PersistentResultCache(CacheStore):
     def clear(self) -> None:
         """Drop every entry (statistics are retained)."""
         with self._lock:
+            self._touches.clear()
             if self._connection is None:
                 return
             try:
@@ -657,7 +705,6 @@ class PersistentResultCache(CacheStore):
                     "SELECT COALESCE(SUM(LENGTH(payload)), 0)"
                     " FROM entries").fetchone()
             except sqlite3.Error:
-                self._reset_file()
                 return 0
             return int(row[0])
 
@@ -677,6 +724,7 @@ class PersistentResultCache(CacheStore):
                 return True
             try:
                 with self._connection:
+                    self._apply_touches()
                     self._connection.execute(
                         "DELETE FROM leases WHERE key = ? AND expires <= ?",
                         (key, now))
@@ -704,6 +752,7 @@ class PersistentResultCache(CacheStore):
                 return
             try:
                 with self._connection:
+                    self._apply_touches()
                     self._connection.execute(
                         "DELETE FROM leases WHERE key = ? AND owner = ?",
                         (key, owner))
@@ -745,7 +794,6 @@ class PersistentResultCache(CacheStore):
                 row = self._connection.execute(
                     "SELECT COUNT(*) FROM entries").fetchone()
             except sqlite3.Error:
-                self._reset_file()
                 return 0
             return int(row[0])
 
@@ -758,7 +806,6 @@ class PersistentResultCache(CacheStore):
                     "SELECT 1 FROM entries WHERE key = ? LIMIT 1",
                     (key,)).fetchone()
             except sqlite3.Error:
-                self._reset_file()
                 return False
             return row is not None
 

@@ -338,6 +338,59 @@ class TestPersistentCacheProperties:
                 registry, lambda: PersistentResultCache(path), workflow)
             assert_each_key_computed_once(runs)
 
+    @given(ops=st.lists(
+               # puts and gets weighted up: evictions need long runs
+               st.tuples(st.sampled_from(["put", "put", "put", "get",
+                                          "get", "invalidate", "clear",
+                                          "in"]),
+                         st.sampled_from("abcd"),
+                         st.integers(min_value=0, max_value=160)),
+               max_size=40),
+           max_entries=st.sampled_from([None, 1, 2, 3]),
+           max_bytes=st.sampled_from([None, 220]))
+    @settings(max_examples=100, deadline=None)
+    def test_lru_parity_with_in_memory_cache(self, ops, max_entries,
+                                             max_bytes):
+        """The persistent cache (hits staged in memory, written with the
+        next write) keeps the in-memory cache's LRU: same statistics,
+        same members and same stored bytes after every operation."""
+        from repro.workflow.cache import (CacheEntry, PersistentResultCache,
+                                          ResultCache)
+
+        memory = ResultCache(max_entries=max_entries, max_bytes=max_bytes)
+        with tempfile.TemporaryDirectory() as root:
+            persistent = PersistentResultCache(
+                Path(root) / "parity.db", max_entries=max_entries,
+                max_bytes=max_bytes)
+            try:
+                for op, key, size in ops:
+                    if op == "put":
+                        value = CacheEntry(outputs={"out": key * size},
+                                           output_hashes={"out": key},
+                                           source_execution=key)
+                        memory.put(key, value)
+                        persistent.put(key, value)
+                    elif op == "get":
+                        got = persistent.get(key)
+                        expected = memory.get(key)
+                        assert (got is None) == (expected is None)
+                        if got is not None:
+                            assert got.outputs == expected.outputs
+                    elif op == "invalidate":
+                        assert (persistent.invalidate(key)
+                                == memory.invalidate(key))
+                    elif op == "clear":
+                        memory.clear()
+                        persistent.clear()
+                    else:
+                        assert (key in persistent) == (key in memory)
+                    assert persistent.stats == memory.stats
+                    assert ([k for k in "abcd" if k in persistent]
+                            == [k for k in "abcd" if k in memory])
+                    assert persistent.total_bytes() == memory.total_bytes()
+            finally:
+                persistent.close()
+
 
 class TestReplayChainProperties:
     @given(depth=st.integers(min_value=1, max_value=4),

@@ -354,6 +354,137 @@ class TestCorruptionRecovery:
         assert "k" not in cache               # the torn entry is dropped
 
 
+class _LockedConnection:
+    """A connection whose every statement fails as a busy peer would."""
+
+    def __init__(self, real):
+        self.real = real
+
+    def execute(self, *args):
+        import sqlite3
+        raise sqlite3.OperationalError("database is locked")
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+
+class TestReadErrorsKeepTheFile:
+    """A read that fails is a miss; it must not delete a file that a
+    peer may have open."""
+
+    def test_read_errors_report_empty_and_leave_the_file(self, tmp_path):
+        path = tmp_path / "c.db"
+        cache = PersistentResultCache(path)
+        cache.put("k", entry("x"))
+        real = cache._connection
+        cache._connection = _LockedConnection(real)
+        try:
+            assert cache.get("k") is None
+            assert cache.stats.misses == 1 and cache.stats.hits == 0
+            assert "k" not in cache
+            assert len(cache) == 0
+            assert cache.total_bytes() == 0
+            assert path.exists()
+            peer = PersistentResultCache(path)
+            got = peer.get("k")
+            assert got is not None and got.outputs == {"out": "x"}
+            peer.close()
+        finally:
+            cache._connection = real
+        assert cache.get("k") is not None
+        cache.close()
+
+
+class TestReadOnlyHits:
+    """A hit writes nothing; its recency touch is staged in memory and
+    written with the instance's next write or at close."""
+
+    def test_hits_write_nothing(self, tmp_path):
+        path = tmp_path / "c.db"
+        cache = PersistentResultCache(path)
+        for index in range(10):
+            cache.put(f"k{index}", entry(str(index)))
+        wal = tmp_path / "c.db-wal"
+        wal_size = wal.stat().st_size
+        changes = cache._connection.total_changes
+        for index in range(200):
+            assert cache.get(f"k{index % 10}") is not None
+        assert cache._connection.total_changes == changes
+        assert wal.stat().st_size == wal_size
+        assert cache.stats.hits == 200
+        cache.close()
+
+    def test_touches_reach_the_file_at_close(self, tmp_path):
+        path = tmp_path / "c.db"
+        first = PersistentResultCache(path)
+        first.put("k1", entry("1"))
+        first.put("k2", entry("2"))
+        first.get("k1")                       # k2 is now LRU
+        first.close()
+        second = PersistentResultCache(path, max_entries=2)
+        second.put("k3", entry("3"))
+        assert "k1" in second and "k3" in second
+        assert "k2" not in second
+        assert second.stats.evictions == 1
+        second.close()
+
+    @pytest.mark.parametrize("drop", ["invalidate", "clear"])
+    def test_dropped_touch_does_not_resurrect(self, tmp_path, drop):
+        cache = PersistentResultCache(tmp_path / "c.db", max_entries=2)
+        cache.put("k", entry("k"))
+        cache.get("k")
+        if drop == "invalidate":
+            assert cache.invalidate("k")
+        else:
+            cache.clear()
+        cache.put("a", entry("a"))
+        cache.put("b", entry("b"))
+        assert "k" not in cache
+        assert len(cache) == 2
+        assert cache.stats.evictions == 0
+        assert cache.stats.invalidations == 1
+        cache.close()
+
+    def test_threaded_hits_and_puts_keep_stats_consistent(self, tmp_path):
+        cache = PersistentResultCache(tmp_path / "c.db", max_entries=48)
+        for index in range(32):
+            cache.put(f"warm{index}", entry(str(index)))
+        hits = [0] * 8
+        errors = []
+
+        def work(worker: int):
+            try:
+                for index in range(150):
+                    if index % 5 == 0:
+                        key = f"new{worker}-{index}"
+                        cache.put(key, entry(key))
+                    elif cache.get(f"warm{(worker + index) % 32}"):
+                        hits[worker] += 1
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(worker,))
+                       for worker in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert cache.stats.lookups == 8 * 120
+        assert cache.stats.hits == sum(hits)
+        assert cache.stats.misses == 8 * 120 - sum(hits)
+        # every key ever stored is either still present or was evicted
+        assert len(cache) + cache.stats.evictions == 32 + 8 * 30
+        assert len(cache) == 48
+        cache.close()
+
+
 class TestConcurrentWriters:
     def test_threads_hammering_one_instance(self, tmp_path):
         cache = PersistentResultCache(tmp_path / "c.db", max_entries=64)
