@@ -108,8 +108,8 @@ def test_index_maintenance_overhead_ceiling(corpus, monkeypatch):
 
     _, with_index = _best_of(ingest)
     import repro.storage.relational as relational_module
-    monkeypatch.setattr(relational_module, "lineage_edges",
-                        lambda run: [])
+    monkeypatch.setattr(relational_module, "execution_edges",
+                        lambda run_id, execution, hashes: ())
     _, without_index = _best_of(ingest)
     monkeypatch.undo()
     overhead = with_index / without_index

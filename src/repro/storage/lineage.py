@@ -7,7 +7,9 @@ and its data products are identified by content hash, which is stable
 queries tractable without deserializing stored runs:
 
 * :func:`lineage_edges` extracts the hash-level derivation edges
-  ``(derived_hash, source_hash, run_id, execution_id)`` of one run;
+  ``(derived_hash, source_hash, run_id, execution_id)`` of one run, from
+  :func:`execution_edges` per execution (the relational store's row
+  writer calls that helper batch by batch) plus :func:`run_edge`;
 * :class:`LineageIndex` keeps those edges for many runs with adjacency
   dictionaries in both directions, maintained incrementally as runs are
   saved and deleted;
@@ -26,12 +28,12 @@ the native paths are benchmarked and tested against.
 
 from __future__ import annotations
 
-from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
-                    Set, Tuple)
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 __all__ = ["LineageEdge", "LineageIndex", "hash_closure", "lineage_edges",
-           "RUN_NODE_PREFIX", "DERIVED_FROM_RUN", "run_node",
-           "run_id_from_node"]
+           "execution_edges", "run_edge", "RUN_NODE_PREFIX",
+           "DERIVED_FROM_RUN", "run_node", "run_id_from_node"]
 
 #: Namespace prefix of run-level nodes in the lineage graph.  Artifact
 #: nodes are content hashes; a *run* participates in the graph as the
@@ -69,40 +71,56 @@ class LineageEdge(NamedTuple):
     execution_id: str
 
 
+def execution_edges(run_id: str, execution,
+                    hashes: Dict[str, str]) -> Iterator[LineageEdge]:
+    """Derivation edges of one execution.
+
+    A succeeded (ok or cached) execution contributes one hash-level edge
+    per (output, input) artifact pair, from the derived value hash to the
+    source value hash; ``hashes`` maps artifact ids to value hashes.
+    Bindings that reference no recorded artifact (possible in externally
+    ingested provenance) are skipped.
+    """
+    if not execution.succeeded():
+        return
+    for out_binding in execution.outputs:
+        derived = hashes.get(out_binding.artifact_id)
+        if derived is None:
+            continue
+        for in_binding in execution.inputs:
+            source = hashes.get(in_binding.artifact_id)
+            if source is not None:
+                yield LineageEdge(derived, source, run_id, execution.id)
+
+
+def run_edge(run_id: str, tags: Optional[Dict]) -> Optional[LineageEdge]:
+    """The run-level edge ``run:<id> -> run:<parent-id>`` of a run whose
+    tags carry ``derived_from_run`` (a replay of a stored run), or None."""
+    parent = (tags or {}).get(DERIVED_FROM_RUN)
+    if isinstance(parent, str) and parent:
+        return LineageEdge(run_node(run_id), run_node(parent), run_id,
+                           DERIVED_FROM_RUN)
+    return None
+
+
 def lineage_edges(run) -> List[LineageEdge]:
     """Derivation edges of one run, deduplicated and sorted.
 
-    Every succeeded (ok or cached) execution contributes one hash-level
-    edge per (output, input) artifact pair, from the derived value hash to
-    the source value hash.  Content hashes are stable across runs, so
-    these edges compose into cross-run derivation chains wherever two runs
-    share bytes.  Bindings that reference no recorded artifact (possible
-    in externally ingested provenance) are skipped.
-
-    A run carrying a ``derived_from_run`` tag (a replay of a stored run)
-    additionally contributes one *run-level* edge ``run:<id> ->
-    run:<parent-id>`` so replay-of-replay chains are first-class index
-    content: k nested reruns yield k hops walkable with the same closure
-    machinery as hash ancestry.
+    The :func:`execution_edges` of every execution.  Content hashes are
+    stable across runs, so these edges compose into cross-run derivation
+    chains wherever two runs share bytes.  A replay additionally
+    contributes its :func:`run_edge`, so replay-of-replay chains are
+    first-class index content: k nested reruns yield k hops walkable with
+    the same closure machinery as hash ancestry.
     """
-    edges: Set[LineageEdge] = set()
-    for execution in run.executions:
-        if not execution.succeeded():
-            continue
-        for out_binding in execution.outputs:
-            derived = run.artifacts.get(out_binding.artifact_id)
-            if derived is None:
-                continue
-            for in_binding in execution.inputs:
-                source = run.artifacts.get(in_binding.artifact_id)
-                if source is None:
-                    continue
-                edges.add(LineageEdge(derived.value_hash, source.value_hash,
-                                      run.id, execution.id))
-    parent = (run.tags or {}).get(DERIVED_FROM_RUN)
-    if isinstance(parent, str) and parent:
-        edges.add(LineageEdge(run_node(run.id), run_node(parent),
-                              run.id, DERIVED_FROM_RUN))
+    hashes = {artifact_id: artifact.value_hash
+              for artifact_id, artifact in run.artifacts.items()}
+    edges: Set[LineageEdge] = {
+        edge for execution in run.executions
+        for edge in execution_edges(run.id, execution, hashes)}
+    chain = run_edge(run.id, run.tags)
+    if chain is not None:
+        edges.add(chain)
     return sorted(edges)
 
 

@@ -11,6 +11,13 @@ be reproduced (and benchmarked) directly.
 
 Artifact *values* are optionally persisted as pickled blobs; metadata always
 persists regardless of value picklability.
+
+There is one row writer and one run loader.  ``save_run``, ``save_runs``
+and every flush of a :meth:`~RelationalStore.save_run_stream` insert rows
+through :func:`_replace_header` and :func:`_insert_rows`, whose lineage
+edges come from :func:`~repro.storage.lineage.execution_edges`; a stream
+adds only its ``stream_state`` journal row.  ``load_run`` is the one-id
+case of the bulk :meth:`~RelationalStore.load_runs`.
 """
 
 from __future__ import annotations
@@ -27,8 +34,7 @@ from repro.core.retrospective import (DataArtifact, ModuleExecution,
                                       PortBinding, WorkflowRun)
 from repro.storage.base import (ProvenanceStore, RunStreamWriter,
                                 RunSummary, StoreError)
-from repro.storage.lineage import (DERIVED_FROM_RUN, lineage_edges,
-                                   run_node)
+from repro.storage.lineage import execution_edges, run_edge
 from repro.storage.query import (Filter, LineageClause, ProvQuery,
                                  ResultCursor, apply_filters, apply_window,
                                  project_rows)
@@ -143,6 +149,98 @@ CREATE INDEX IF NOT EXISTS idx_ann_target ON annotations(target_kind,
 _WRITE_WORDS = ("insert", "update", "delete", "drop", "alter", "create",
                 "replace", "pragma", "attach", "vacuum")
 
+_SELECT_RUNS = ("SELECT id, workflow_id, workflow_name, signature, status,"
+                " started, finished, environment, spec, tags FROM runs")
+
+_INSERT_EDGE = "INSERT OR IGNORE INTO lineage VALUES (?,?,?,?)"
+
+#: value rows have no foreign key to cascade through, and their primary
+#: key leads with artifact_id: reach a run's rows through its artifacts
+_DELETE_VALUES = ("DELETE FROM artifact_values WHERE run_id = ?1"
+                  " AND artifact_id IN"
+                  " (SELECT id FROM artifacts WHERE run_id = ?1)")
+
+
+def _run_header(row: Tuple) -> WorkflowRun:
+    """Decode a ``_SELECT_RUNS`` row into a run with no executions,
+    artifacts or values yet."""
+    return WorkflowRun(
+        id=row[0], workflow_id=row[1], workflow_name=row[2],
+        workflow_signature=row[3], status=row[4], started=row[5],
+        finished=row[6], environment=json.loads(row[7]),
+        workflow_spec=json.loads(row[8]), executions=[], artifacts={},
+        tags=json.loads(row[9]), values={})
+
+
+def _replace_header(cursor: sqlite3.Cursor, run: WorkflowRun,
+                    status: str) -> None:
+    """Drop any stored run with ``run.id`` and insert its header row."""
+    cursor.execute(_DELETE_VALUES, (run.id,))
+    cursor.execute("DELETE FROM runs WHERE id = ?", (run.id,))
+    cursor.execute(
+        "INSERT INTO runs (id, workflow_id, workflow_name, signature,"
+        " status, started, finished, environment, spec, tags)"
+        " VALUES (?,?,?,?,?,?,?,?,?,?)",
+        (run.id, run.workflow_id, run.workflow_name, run.workflow_signature,
+         status, run.started, run.finished, json.dumps(run.environment),
+         json.dumps(run.workflow_spec), json.dumps(run.tags)))
+
+
+def _insert_rows(store: "RelationalStore", cursor: sqlite3.Cursor,
+                 run_id: str, executions: Iterable[ModuleExecution],
+                 seq: int, hashes: Dict[str, str],
+                 artifacts: Iterable[Tuple[DataArtifact, Any, bool]]) -> int:
+    """Insert one batch of a run's rows; returns the next free ``seq``.
+
+    Executions are numbered from ``seq`` in order.  ``artifacts`` yields
+    ``(artifact, value, has_value)``; artifacts and values are upserted, so
+    a stream may re-add an artifact that an earlier batch committed, and a
+    value is kept only when the store keeps values and it pickles.
+    Lineage edges come from :func:`execution_edges`, with ``hashes``
+    mapping every artifact id known so far to its value hash.
+    """
+    exec_rows, binding_rows, edges = [], [], set()
+    for execution in executions:
+        exec_rows.append(
+            (execution.id, run_id, execution.module_id,
+             execution.module_type, execution.module_name, execution.status,
+             json.dumps(execution.parameters), execution.started,
+             execution.finished, execution.error, execution.cache_key,
+             execution.cached_from, seq, execution.attempt))
+        seq += 1
+        binding_rows.extend((execution.id, run_id, "in", binding.port,
+                             binding.artifact_id)
+                            for binding in execution.inputs)
+        binding_rows.extend((execution.id, run_id, "out", binding.port,
+                             binding.artifact_id)
+                            for binding in execution.outputs)
+        edges.update(execution_edges(run_id, execution, hashes))
+    artifact_rows, value_rows = [], []
+    for artifact, value, has_value in artifacts:
+        artifact_rows.append(
+            (artifact.id, run_id, artifact.value_hash, artifact.type_name,
+             artifact.created_by, artifact.role,
+             json.dumps(artifact.also_produced_by), artifact.size_hint))
+        if store.store_values and has_value:
+            try:
+                value_rows.append((artifact.id, run_id, pickle.dumps(value)))
+            except Exception:
+                pass
+    cursor.executemany(
+        "INSERT INTO executions (id, run_id, module_id, module_type,"
+        " module_name, status, parameters, started, finished, error,"
+        " cache_key, cached_from, seq, attempt)"
+        " VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?)", exec_rows)
+    cursor.executemany("INSERT INTO bindings VALUES (?,?,?,?,?)",
+                       binding_rows)
+    cursor.executemany(
+        "INSERT OR REPLACE INTO artifacts VALUES (?,?,?,?,?,?,?,?)",
+        artifact_rows)
+    cursor.executemany(
+        "INSERT OR REPLACE INTO artifact_values VALUES (?,?,?)", value_rows)
+    cursor.executemany(_INSERT_EDGE, edges)
+    return seq
+
 
 class RelationalStore(ProvenanceStore):
     """sqlite3-backed provenance store.
@@ -215,36 +313,31 @@ class RelationalStore(ProvenanceStore):
             " JOIN artifacts source ON source.id = ib.artifact_id"
             "  AND source.run_id = e.run_id"
             " WHERE e.status IN ('ok', 'cached')")
-        chain_rows = []
-        for run_id, tags_text in self._connection.execute(
-                "SELECT id, tags FROM runs"
-                " WHERE tags LIKE '%derived_from_run%'").fetchall():
-            parent = json.loads(tags_text).get(DERIVED_FROM_RUN)
-            if isinstance(parent, str) and parent:
-                chain_rows.append((run_node(run_id), run_node(parent),
-                                   run_id, DERIVED_FROM_RUN))
-        if chain_rows:
-            self._connection.executemany(
-                "INSERT OR IGNORE INTO lineage VALUES (?,?,?,?)",
-                chain_rows)
+        chain_edges = (run_edge(run_id, json.loads(tags_text))
+                       for run_id, tags_text in self._connection.execute(
+                           "SELECT id, tags FROM runs"
+                           " WHERE tags LIKE '%derived_from_run%'"
+                       ).fetchall())
+        self._connection.executemany(
+            _INSERT_EDGE, [edge for edge in chain_edges if edge is not None])
         self._connection.commit()
 
     # -- runs -----------------------------------------------------------
     def save_run(self, run: WorkflowRun) -> None:
-        cursor = self._connection.cursor()
-        self._write_run(cursor, run)
-        self._connection.commit()
+        self.save_runs([run])
 
     def save_run_stream(self, header: WorkflowRun) -> RunStreamWriter:
         """Native incremental ingest: one transaction per ``flush``.
 
-        The run header row is committed immediately (replacing any stored
-        run with the same id); executions and artifacts accumulate in
-        Python until ``flush`` writes and commits them as one bounded
-        transaction, so ingesting a 10k-execution run never builds a
-        10k-row statement buffer or a run-sized transaction.  ``finish``
-        seals the header (status/finished/tags) and ``abort`` deletes the
-        partial run, cascading away every flushed batch.
+        The stream writes through the same row writer as ``save_runs``;
+        all it adds is a ``stream_state`` journal row.  The run header row
+        is committed immediately (replacing any stored run with the same
+        id); executions and artifacts accumulate in Python until ``flush``
+        writes and commits them as one bounded transaction, so ingesting a
+        10k-execution run never builds a 10k-row statement buffer or a
+        run-sized transaction.  ``finish`` seals the header
+        (status/finished/tags) and ``abort`` deletes the partial run,
+        cascading away every flushed batch.
         """
         return _RelationalRunStream(self, header)
 
@@ -258,18 +351,10 @@ class RelationalStore(ProvenanceStore):
         stream journal (it either finished cleanly or never streamed).
         """
         row = self._connection.execute(
-            "SELECT id, workflow_id, workflow_name, signature, status,"
-            " started, finished, environment, spec, tags FROM runs"
-            " WHERE id = ?", (run_id,)).fetchone()
+            f"{_SELECT_RUNS} WHERE id = ?", (run_id,)).fetchone()
         if row is None:
             raise StoreError(f"no such run: {run_id}")
-        header = WorkflowRun(
-            id=row[0], workflow_id=row[1], workflow_name=row[2],
-            workflow_signature=row[3], status=row[4], started=row[5],
-            finished=row[6], environment=json.loads(row[7]),
-            workflow_spec=json.loads(row[8]), executions=[],
-            artifacts={}, tags=json.loads(row[9]), values={})
-        return _RelationalRunStream(self, header, resume=True)
+        return _RelationalRunStream(self, _run_header(row), resume=True)
 
     def stream_states(self) -> List[Tuple[str, int, int, int]]:
         """Journal rows of in-flight (or crashed) streams.
@@ -282,71 +367,31 @@ class RelationalStore(ProvenanceStore):
             " ORDER BY run_id").fetchall()]
 
     def save_runs(self, runs: Iterable[WorkflowRun]) -> int:
-        """Bulk ingest: every run inserted inside a single transaction."""
+        """Bulk ingest: every run inserted inside a single transaction.
+
+        A failure rolls the whole call back, so a run it replaced stays
+        stored as it was and no partial row outlives the error.
+        """
         cursor = self._connection.cursor()
         count = 0
         try:
             for run in runs:
-                self._write_run(cursor, run)
+                _replace_header(cursor, run, run.status)
+                hashes = {artifact_id: artifact.value_hash
+                          for artifact_id, artifact in run.artifacts.items()}
+                _insert_rows(self, cursor, run.id, run.executions, 0, hashes,
+                             ((artifact, run.values.get(artifact.id),
+                               artifact.id in run.values)
+                              for artifact in run.artifacts.values()))
+                edge = run_edge(run.id, run.tags)
+                if edge is not None:
+                    cursor.execute(_INSERT_EDGE, edge)
                 count += 1
-        except Exception:
+        except BaseException:
             self._connection.rollback()
             raise
         self._connection.commit()
         return count
-
-    def _write_run(self, cursor: sqlite3.Cursor, run: WorkflowRun) -> None:
-        cursor.execute("DELETE FROM runs WHERE id = ?", (run.id,))
-        cursor.execute(
-            "INSERT INTO runs (id, workflow_id, workflow_name, signature,"
-            " status, started, finished, environment, spec, tags)"
-            " VALUES (?,?,?,?,?,?,?,?,?,?)",
-            (run.id, run.workflow_id, run.workflow_name,
-             run.workflow_signature, run.status, run.started, run.finished,
-             json.dumps(run.environment), json.dumps(run.workflow_spec),
-             json.dumps(run.tags)))
-        for seq, execution in enumerate(run.executions):
-            cursor.execute(
-                "INSERT INTO executions (id, run_id, module_id, module_type,"
-                " module_name, status, parameters, started, finished, error,"
-                " cache_key, cached_from, seq, attempt)"
-                " VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?)",
-                (execution.id, run.id, execution.module_id,
-                 execution.module_type, execution.module_name,
-                 execution.status, json.dumps(execution.parameters),
-                 execution.started, execution.finished, execution.error,
-                 execution.cache_key, execution.cached_from, seq,
-                 execution.attempt))
-            for binding in execution.inputs:
-                cursor.execute(
-                    "INSERT INTO bindings VALUES (?,?,?,?,?)",
-                    (execution.id, run.id, "in", binding.port,
-                     binding.artifact_id))
-            for binding in execution.outputs:
-                cursor.execute(
-                    "INSERT INTO bindings VALUES (?,?,?,?,?)",
-                    (execution.id, run.id, "out", binding.port,
-                     binding.artifact_id))
-        for artifact in run.artifacts.values():
-            cursor.execute(
-                "INSERT INTO artifacts VALUES (?,?,?,?,?,?,?,?)",
-                (artifact.id, run.id, artifact.value_hash,
-                 artifact.type_name, artifact.created_by, artifact.role,
-                 json.dumps(artifact.also_produced_by),
-                 artifact.size_hint))
-            if self.store_values and artifact.id in run.values:
-                try:
-                    blob = pickle.dumps(run.values[artifact.id])
-                except Exception:
-                    continue
-                cursor.execute(
-                    "INSERT INTO artifact_values VALUES (?,?,?)",
-                    (artifact.id, run.id, blob))
-        # derivation-edge index rows; the leading DELETE FROM runs above
-        # already cascaded away any previous edges of this run
-        cursor.executemany(
-            "INSERT OR IGNORE INTO lineage VALUES (?,?,?,?)",
-            [tuple(edge) for edge in lineage_edges(run)])
 
     def has_run(self, run_id: str) -> bool:
         row = self._connection.execute(
@@ -354,68 +399,16 @@ class RelationalStore(ProvenanceStore):
         return row is not None
 
     def load_run(self, run_id: str) -> WorkflowRun:
-        cursor = self._connection.cursor()
-        row = cursor.execute(
-            "SELECT id, workflow_id, workflow_name, signature, status,"
-            " started, finished, environment, spec, tags FROM runs"
-            " WHERE id = ?", (run_id,)).fetchone()
-        if row is None:
-            raise StoreError(f"no such run: {run_id}")
-        executions = []
-        exec_rows = cursor.execute(
-            "SELECT id, module_id, module_type, module_name, status,"
-            " parameters, started, finished, error, cache_key,"
-            " cached_from, attempt FROM executions WHERE run_id = ?"
-            " ORDER BY seq, started, id", (run_id,)).fetchall()
-        for exec_row in exec_rows:
-            inputs, outputs = [], []
-            for direction, port, artifact_id in cursor.execute(
-                    "SELECT direction, port, artifact_id FROM bindings"
-                    " WHERE execution_id = ? ORDER BY port",
-                    (exec_row[0],)).fetchall():
-                binding = PortBinding(port=port, artifact_id=artifact_id)
-                (inputs if direction == "in" else outputs).append(binding)
-            executions.append(ModuleExecution(
-                id=exec_row[0], module_id=exec_row[1],
-                module_type=exec_row[2], module_name=exec_row[3],
-                status=exec_row[4], parameters=json.loads(exec_row[5]),
-                inputs=inputs, outputs=outputs, started=exec_row[6],
-                finished=exec_row[7], error=exec_row[8],
-                cache_key=exec_row[9], cached_from=exec_row[10],
-                attempt=exec_row[11]))
-        artifacts = {}
-        art_rows = cursor.execute(
-            "SELECT id, value_hash, type_name, created_by, role,"
-            " also_produced_by, size_hint FROM artifacts"
-            " WHERE run_id = ?", (run_id,)).fetchall()
-        for art_row in art_rows:
-            artifacts[art_row[0]] = DataArtifact(
-                id=art_row[0], value_hash=art_row[1], type_name=art_row[2],
-                created_by=art_row[3], role=art_row[4],
-                also_produced_by=json.loads(art_row[5]),
-                size_hint=art_row[6])
-        values = {}
-        if self.store_values:
-            value_rows = cursor.execute(
-                "SELECT artifact_id, blob FROM artifact_values"
-                " WHERE run_id = ?", (run_id,)).fetchall()
-            for artifact_id, blob in value_rows:
-                values[artifact_id] = pickle.loads(blob)
-        return WorkflowRun(
-            id=row[0], workflow_id=row[1], workflow_name=row[2],
-            workflow_signature=row[3], status=row[4], started=row[5],
-            finished=row[6], environment=json.loads(row[7]),
-            workflow_spec=json.loads(row[8]), executions=executions,
-            artifacts=artifacts, tags=json.loads(row[9]), values=values)
+        return self.load_runs([run_id])[0]
 
     def load_runs(self, run_ids: Optional[Iterable[str]] = None
                   ) -> List[WorkflowRun]:
         """Bulk-load runs in one SQL pass per table.
 
-        ``load_run`` issues a query cascade per run (plus one per execution
-        for bindings); listing N stored runs that way costs O(N·modules)
-        round trips.  Here each chunk of ids is answered with five ``IN``
-        queries total, grouped in Python.
+        Each chunk of ids is answered with five ``IN`` queries total (four
+        without stored values), each driven by a ``run_id`` index and
+        grouped in Python, so the statement count does not grow with the
+        number of runs or executions.  ``load_run`` is the one-id case.
         """
         if run_ids is None:
             ordered = [summary.run_id for summary in self.list_runs()]
@@ -437,21 +430,17 @@ class RelationalStore(ProvenanceStore):
             return
         cursor = self._connection.cursor()
         marks = ", ".join("?" * len(chunk))
-        for row in cursor.execute(
-                "SELECT id, workflow_id, workflow_name, signature, status,"
-                " started, finished, environment, spec, tags FROM runs"
-                f" WHERE id IN ({marks})", chunk).fetchall():
-            loaded[row[0]] = WorkflowRun(
-                id=row[0], workflow_id=row[1], workflow_name=row[2],
-                workflow_signature=row[3], status=row[4], started=row[5],
-                finished=row[6], environment=json.loads(row[7]),
-                workflow_spec=json.loads(row[8]), executions=[],
-                artifacts={}, tags=json.loads(row[9]), values={})
+        for row in cursor.execute(f"{_SELECT_RUNS} WHERE id IN ({marks})",
+                                  chunk).fetchall():
+            loaded[row[0]] = _run_header(row)
+        # bindings and values carry no usable run_id index: reach them
+        # through their parent rows (executions, artifacts) instead
         bindings: Dict[str, Tuple[List[PortBinding], List[PortBinding]]] = {}
         for execution_id, direction, port, artifact_id in cursor.execute(
-                "SELECT execution_id, direction, port, artifact_id"
-                f" FROM bindings WHERE run_id IN ({marks})"
-                " ORDER BY port", chunk).fetchall():
+                "SELECT b.execution_id, b.direction, b.port, b.artifact_id"
+                " FROM executions e JOIN bindings b ON b.execution_id = e.id"
+                f" WHERE e.run_id IN ({marks})"
+                " ORDER BY b.port, b.rowid", chunk).fetchall():
             inputs, outputs = bindings.setdefault(execution_id, ([], []))
             (inputs if direction == "in" else outputs).append(
                 PortBinding(port=port, artifact_id=artifact_id))
@@ -479,8 +468,10 @@ class RelationalStore(ProvenanceStore):
                 also_produced_by=json.loads(row[6]), size_hint=row[7])
         if self.store_values:
             for artifact_id, run_id, blob in cursor.execute(
-                    "SELECT artifact_id, run_id, blob FROM artifact_values"
-                    f" WHERE run_id IN ({marks})", chunk).fetchall():
+                    "SELECT v.artifact_id, v.run_id, v.blob FROM artifacts a"
+                    " JOIN artifact_values v ON v.artifact_id = a.id"
+                    " AND v.run_id = a.run_id"
+                    f" WHERE a.run_id IN ({marks})", chunk).fetchall():
                 loaded[run_id].values[artifact_id] = pickle.loads(blob)
 
     def list_runs(self) -> List[RunSummary]:
@@ -491,9 +482,8 @@ class RelationalStore(ProvenanceStore):
 
     def delete_run(self, run_id: str) -> bool:
         cursor = self._connection.cursor()
-        cursor.execute("DELETE FROM artifact_values WHERE run_id = ?",
-                       (run_id,))
-        cursor.execute("DELETE FROM bindings WHERE run_id = ?", (run_id,))
+        cursor.execute(_DELETE_VALUES, (run_id,))
+        # every other table cascades from runs
         cursor.execute("DELETE FROM runs WHERE id = ?", (run_id,))
         self._connection.commit()
         return cursor.rowcount > 0
@@ -812,12 +802,14 @@ class RelationalStore(ProvenanceStore):
 class _RelationalRunStream(RunStreamWriter):
     """Per-batch-transaction ingest stream for :class:`RelationalStore`.
 
-    Staged executions/artifacts live in Python lists between flushes; each
-    ``flush`` inserts and commits them, continuing the run's ``seq``
-    numbering across batches so a streamed run reloads in exactly the
-    order it was streamed (identical to a monolithic ``save_run``).
-    Hash-level lineage edges are derived incrementally from the artifacts
-    seen so far instead of requiring the whole run in memory.
+    The stream writes its rows through the same :func:`_replace_header`
+    and :func:`_insert_rows` as ``save_runs``; all it adds is the
+    ``stream_state`` journal.  Staged executions/artifacts live in Python
+    between flushes; each ``flush`` inserts them and advances the journal
+    in one commit, continuing the run's ``seq`` numbering across batches
+    so a streamed run reloads in exactly the order it was streamed.
+    Lineage edges are derived per execution from the artifacts seen so
+    far instead of requiring the whole run in memory.
     """
 
     def __init__(self, store: RelationalStore, header: WorkflowRun,
@@ -842,26 +834,15 @@ class _RelationalRunStream(RunStreamWriter):
             (header.id,)).fetchone()
         if prior is not None:
             self.epoch = int(prior[0]) + 1
-        cursor.execute("DELETE FROM artifact_values WHERE run_id = ?",
-                       (header.id,))
-        cursor.execute("DELETE FROM runs WHERE id = ?", (header.id,))
         # the header lands with status 'running' regardless of what the
         # in-memory run says: paired with its stream_state journal row,
         # that is the crash signature fsck looks for.  finish() seals the
         # real status and removes the journal row atomically.
-        cursor.execute(
-            "INSERT INTO runs (id, workflow_id, workflow_name, signature,"
-            " status, started, finished, environment, spec, tags)"
-            " VALUES (?,?,?,?,?,?,?,?,?,?)",
-            (header.id, header.workflow_id, header.workflow_name,
-             header.workflow_signature, "running", header.started,
-             header.finished, json.dumps(header.environment),
-             json.dumps(header.workflow_spec), json.dumps(header.tags)))
+        _replace_header(cursor, header, "running")
         cursor.execute(
             "INSERT INTO stream_state VALUES (?,?,?,?,?)",
             (header.id, self.epoch, 0, 0, time.time()))
         store._connection.commit()
-
     def _attach(self, cursor: sqlite3.Cursor) -> None:
         """Re-attach to an interrupted stream at its last committed batch."""
         run_id = self._header.id
@@ -876,10 +857,9 @@ class _RelationalRunStream(RunStreamWriter):
         self._prior_flushes = int(state[2])
         # everything at or past the committed watermark was torn mid-batch:
         # drop it so the resumed feed re-ingests those executions cleanly
-        for torn_id, in cursor.execute(
-                "SELECT id FROM executions WHERE run_id = ? AND seq >= ?",
-                (run_id, self._seq)).fetchall():
-            cursor.execute("DELETE FROM executions WHERE id = ?", (torn_id,))
+        cursor.execute(
+            "DELETE FROM executions WHERE run_id = ? AND seq >= ?",
+            (run_id, self._seq))
         self.already_ingested = frozenset(
             row[0] for row in cursor.execute(
                 "SELECT id FROM executions WHERE run_id = ?",
@@ -936,58 +916,10 @@ class _RelationalRunStream(RunStreamWriter):
         """Insert the staged batch and advance the journal, one commit."""
         run_id = self._header.id
         cursor = self._store._connection.cursor()
-        edges: List[Tuple[str, str, str, str]] = []
-        for execution in self._pending_execs:
-            cursor.execute(
-                "INSERT INTO executions (id, run_id, module_id, module_type,"
-                " module_name, status, parameters, started, finished, error,"
-                " cache_key, cached_from, seq, attempt)"
-                " VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?)",
-                (execution.id, run_id, execution.module_id,
-                 execution.module_type, execution.module_name,
-                 execution.status, json.dumps(execution.parameters),
-                 execution.started, execution.finished, execution.error,
-                 execution.cache_key, execution.cached_from, self._seq,
-                 execution.attempt))
-            self._seq += 1
-            for binding in execution.inputs:
-                cursor.execute(
-                    "INSERT INTO bindings VALUES (?,?,?,?,?)",
-                    (execution.id, run_id, "in", binding.port,
-                     binding.artifact_id))
-            for binding in execution.outputs:
-                cursor.execute(
-                    "INSERT INTO bindings VALUES (?,?,?,?,?)",
-                    (execution.id, run_id, "out", binding.port,
-                     binding.artifact_id))
-            if execution.succeeded():
-                hashes = self._art_hashes
-                for out_binding in execution.outputs:
-                    derived = hashes.get(out_binding.artifact_id)
-                    if derived is None:
-                        continue
-                    for in_binding in execution.inputs:
-                        source = hashes.get(in_binding.artifact_id)
-                        if source is not None:
-                            edges.append((derived, source, run_id,
-                                          execution.id))
-        for artifact, value, has_value in self._pending_arts.values():
-            cursor.execute(
-                "INSERT OR REPLACE INTO artifacts VALUES (?,?,?,?,?,?,?,?)",
-                (artifact.id, run_id, artifact.value_hash,
-                 artifact.type_name, artifact.created_by, artifact.role,
-                 json.dumps(artifact.also_produced_by), artifact.size_hint))
-            if self._store.store_values and has_value:
-                try:
-                    blob = pickle.dumps(value)
-                except Exception:
-                    continue
-                cursor.execute(
-                    "INSERT OR REPLACE INTO artifact_values VALUES (?,?,?)",
-                    (artifact.id, run_id, blob))
-        if edges:
-            cursor.executemany(
-                "INSERT OR IGNORE INTO lineage VALUES (?,?,?,?)", edges)
+        self._seq = _insert_rows(self._store, cursor, run_id,
+                                 self._pending_execs, self._seq,
+                                 self._art_hashes,
+                                 self._pending_arts.values())
         # journal advance rides in the batch transaction, so the committed
         # watermark and the committed rows can never disagree on disk
         cursor.execute(
@@ -1013,12 +945,9 @@ class _RelationalRunStream(RunStreamWriter):
              json.dumps(final_tags), header.id))
         cursor.execute("DELETE FROM stream_state WHERE run_id = ?",
                        (header.id,))
-        parent = final_tags.get(DERIVED_FROM_RUN)
-        if isinstance(parent, str) and parent:
-            cursor.execute(
-                "INSERT OR IGNORE INTO lineage VALUES (?,?,?,?)",
-                (run_node(header.id), run_node(parent), header.id,
-                 DERIVED_FROM_RUN))
+        edge = run_edge(header.id, final_tags)
+        if edge is not None:
+            cursor.execute(_INSERT_EDGE, edge)
         self._store._connection.commit()
         return header.id
 
@@ -1028,12 +957,5 @@ class _RelationalRunStream(RunStreamWriter):
         self._done = True
         self._pending_execs = []
         self._pending_arts = {}
-        connection = self._store._connection
-        connection.rollback()
-        cursor = connection.cursor()
-        cursor.execute("DELETE FROM artifact_values WHERE run_id = ?",
-                       (self._header.id,))
-        cursor.execute("DELETE FROM bindings WHERE run_id = ?",
-                       (self._header.id,))
-        cursor.execute("DELETE FROM runs WHERE id = ?", (self._header.id,))
-        connection.commit()
+        self._store._connection.rollback()
+        self._store.delete_run(self._header.id)

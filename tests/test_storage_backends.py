@@ -1,15 +1,20 @@
 """Backend-conformance tests run against all four provenance stores."""
 
+import dataclasses
+import sqlite3
+
 import numpy as np
 import pytest
 
-from repro.core import ProspectiveProvenance, ProvenanceCapture
+from repro.core import (Annotation, ModuleExecution, ProspectiveProvenance,
+                        ProvenanceCapture, stream_run_to_store)
 from repro.storage import (ArtifactValueStore, DocumentStore,
                            FileArtifactValueStore, MemoryStore,
                            ProvQuery, RelationalStore, StoreError,
                            TripleProvenanceStore, TripleStore,
                            run_to_triples)
 from repro.workflow import Executor, Module, Workflow
+from repro.workloads import chain_workflow, clone_run
 from tests.conftest import build_fig1_workflow, module_by_name
 
 
@@ -182,6 +187,113 @@ class TestRelationalSpecifics:
         store = RelationalStore(store_values=False)
         store.save_run(run)
         assert store.load_run(run.id).values == {}
+
+    def test_resave_with_values_replaces_them(self, captured_run):
+        _, run = captured_run
+        store = RelationalStore(store_values=True)
+        store.save_run(run)
+        store.save_run(run)
+        assert store.load_run(run.id).values.keys() == run.values.keys()
+        store.save_run(dataclasses.replace(run, values={}))
+        assert store.load_run(run.id).values == {}
+
+    def test_failed_save_leaves_nothing_to_commit(self, captured_run,
+                                                  tmp_path):
+        """A save that fails partway is rolled back, so the next write
+        (here an annotation) commits none of it."""
+        _, run = captured_run
+        path = str(tmp_path / "prov.db")
+        store = RelationalStore(path)
+        store.save_run(run)
+        # a new run id, but execution ids the stored run already owns
+        colliding = dataclasses.replace(run, id="run-colliding")
+        with pytest.raises(sqlite3.IntegrityError):
+            store.save_run(colliding)
+        store.save_annotation(Annotation("run", run.id, "note", "kept"))
+        assert not store.has_run(colliding.id)
+        reopened = RelationalStore(path)
+        assert [s.run_id for s in reopened.list_runs()] == [run.id]
+        assert reopened.sql("SELECT COUNT(*) FROM executions")[0][0] == \
+            len(run.executions)
+
+    def test_failed_resave_keeps_the_stored_run(self, captured_run):
+        _, run = captured_run
+        store = RelationalStore(store_values=True)
+        other = clone_run(run, "other")
+        store.save_runs([run, other])
+        before = store.load_run(run.id)
+        broken = dataclasses.replace(
+            run, executions=run.executions[:-1] + [dataclasses.replace(
+                run.executions[-1], id=other.executions[0].id)])
+        with pytest.raises(sqlite3.IntegrityError):
+            store.save_run(broken)
+        after = store.load_run(run.id)
+        assert after.to_dict() == before.to_dict()
+        assert after.values.keys() == before.values.keys()
+
+    def test_load_run_query_shape(self, registry):
+        """load_run issues a fixed number of statements, whatever the run
+        size, and none of them scans a whole table."""
+        store = RelationalStore(store_values=True)
+        runs = []
+        for length in (2, 199):
+            capture = ProvenanceCapture(registry=registry)
+            Executor(registry, listeners=[capture]).execute(
+                chain_workflow(length, work=1))
+            runs.append(capture.last_run())
+        store.save_runs(runs)
+        assert [len(run.executions) for run in runs] == [3, 200]
+        connection = store._connection
+        counts = []
+        for run in runs:
+            statements = []
+            connection.set_trace_callback(statements.append)
+            try:
+                loaded = store.load_run(run.id)
+            finally:
+                connection.set_trace_callback(None)
+            assert len(loaded.executions) == len(run.executions)
+            counts.append(len(statements))
+            for statement in statements:
+                plan = connection.execute(
+                    f"EXPLAIN QUERY PLAN {statement}",
+                    [None] * statement.count("?")).fetchall()
+                scans = [row[-1] for row in plan
+                         if row[-1].startswith("SCAN")]
+                assert scans == [], (statement, scans)
+        assert counts[0] == counts[1]
+
+    def test_row_level_write_parity(self, captured_run):
+        """save_run, save_runs and streams of any batch size write the
+        same rows into every table."""
+        _, run = captured_run
+        final = run.executions[2]
+        retry = ModuleExecution(
+            id="exec-retry", module_id=final.module_id,
+            module_type=final.module_type, module_name=final.module_name,
+            status="failed", inputs=list(final.inputs), error="boom",
+            attempt=1)
+        run.executions.insert(2, retry)
+        run.tags["derived_from_run"] = "run-parent"
+        writers = [lambda store: store.save_run(run),
+                   lambda store: store.save_runs([run])]
+        writers += [lambda store, batch=batch: stream_run_to_store(
+            run, store, batch=batch) for batch in (1, 3, 256)]
+        tables = ("runs", "executions", "bindings", "artifacts",
+                  "artifact_values", "lineage")
+        snapshots = []
+        for write in writers:
+            store = RelationalStore(store_values=True)
+            write(store)
+            snapshots.append({table: sorted(store.sql(
+                f"SELECT * FROM {table}")) for table in tables})
+        reference = snapshots[0]
+        assert all(reference[table] for table in tables)
+        assert ("run:" + run.id, "run:run-parent", run.id,
+                "derived_from_run") in reference["lineage"]
+        assert any(row[0] == "exec-retry" for row in reference["executions"])
+        for snapshot in snapshots[1:]:
+            assert snapshot == reference
 
 
 class TestTripleStoreSpecifics:
