@@ -2,13 +2,14 @@
 
 Regenerates: the §2.2 claim that engine-level instrumentation is cheap.
 Shape: overhead percentage falls as per-module compute grows (capture cost
-is per-event, compute cost is per-work-unit).
+is per-module, compute cost is per-work-unit).
 
 The high-rate section measures capture at 10k modules/run: the median of
 several alternating plain/captured runs must stay within a fixed overhead
-budget of the uninstrumented engine.  A journal-heavy firehose (listener
-events driven directly, no engine in the way) records capture's cost per
-event; it asserts nothing.
+budget of the uninstrumented engine.  A firehose (a prebuilt 10k-module
+engine result handed straight to the capture, no engine in the way)
+records capture's cost per module — run conversion and the workflow
+snapshot; it asserts nothing.
 
 When the ``BENCH_JSON`` environment variable names a file, the measured
 numbers are dumped there so CI can archive a ``BENCH_*.json`` trajectory
@@ -161,25 +162,19 @@ def _firehose_result(modules):
 
 
 def test_firehose_capture_cost(registry):
-    """Journal-heavy firehose: records capture's cost per listener event,
-    run materialization included.  A record, not a gate."""
+    """Firehose: records capture's cost per module of a finished run —
+    the capture listens for run ends only, so this is its whole cost.
+    A record, not a gate."""
     result = _firehose_result(HIGH_RATE_MODULES)
-    modules = [result.workflow.modules[module_id]
-               for module_id in result.order]
     capture = ProvenanceCapture(registry=registry, keep_values=False)
     start = time.perf_counter()
-    capture.on_run_start(result.run_id, result.workflow, {}, {})
-    for module in modules:
-        capture.on_module_start(result.run_id, module, {})
-        capture.on_module_finish(result.run_id, module,
-                                 result.results[module.id])
     capture.on_run_finish(result)
     elapsed = time.perf_counter() - start
-    events = capture.stats.events
-    per_event_us = elapsed / events * 1e6
+    modules = len(result.order)
+    per_module_us = elapsed / modules * 1e6
     _record(firehose_sync_ms=round(elapsed * 1000, 1),
-            firehose_events=events,
-            firehose_us_per_event=round(per_event_us, 2))
+            firehose_modules=modules,
+            firehose_us_per_module=round(per_module_us, 2))
     report_row("E1", variant="firehose",
-               sync_ms=f"{elapsed * 1000:.0f}", events=events,
-               us_per_event=f"{per_event_us:.2f}")
+               sync_ms=f"{elapsed * 1000:.0f}", modules=modules,
+               us_per_module=f"{per_module_us:.2f}")

@@ -7,9 +7,9 @@ causality inference, user-defined annotations, capture mechanisms, and the
 
 from repro.core.annotations import (ANNOTATABLE_KINDS, Annotation,
                                     AnnotationStore)
-from repro.core.capture import (CaptureEvent, CaptureStats,
-                                ProvenanceCapture, ScriptCapture,
-                                run_from_result, stream_run_to_store)
+from repro.core.capture import (CaptureStats, ProvenanceCapture,
+                                ScriptCapture, run_from_result,
+                                stream_run_to_store)
 from repro.core.causality import (artifacts_affected_by,
                                   cached_causality_graph, causality_graph,
                                   clear_causality_cache, data_dependencies,
@@ -26,8 +26,7 @@ from repro.core.xmlprov import run_from_xml, run_to_xml
 
 __all__ = [
     "ANNOTATABLE_KINDS", "Annotation", "AnnotationStore",
-    "CaptureEvent", "CaptureStats",
-    "ProvenanceCapture", "ScriptCapture", "run_from_result",
+    "CaptureStats", "ProvenanceCapture", "ScriptCapture", "run_from_result",
     "stream_run_to_store",
     "artifacts_affected_by", "cached_causality_graph", "causality_graph",
     "clear_causality_cache", "data_dependencies",

@@ -7,15 +7,17 @@ information can be accessed directly through system APIs."
 Two mechanisms are implemented:
 
 * :class:`ProvenanceCapture` — engine instrumentation.  It is an
-  :class:`~repro.workflow.engine.ExecutionListener`; attached to an
-  :class:`~repro.workflow.engine.Executor` it converts every run into a
-  :class:`~repro.core.retrospective.WorkflowRun`, keeping a streaming event
-  journal along the way (the "detailed log").  Capture is synchronous: the
-  journal, run conversion and store write all happen on the engine's
-  coordinating thread, so a run is fully recorded (or its store write has
-  raised) by the time ``Executor.execute`` returns.  With ``stream_batch``
-  set, the store write goes through :func:`stream_run_to_store`, which
-  bounds ingest memory by committing executions in batches.
+  :class:`~repro.workflow.engine.ExecutionListener` that listens only for
+  finished runs: attached to an :class:`~repro.workflow.engine.Executor`
+  it converts every run into a
+  :class:`~repro.core.retrospective.WorkflowRun` and, with a store
+  attached, saves the workflow's prospective snapshot and the run
+  together.  Capture is synchronous: run conversion and store writes
+  happen on the engine's coordinating thread, so a run is fully recorded
+  (or its store write has raised) by the time ``Executor.execute``
+  returns.  With ``stream_batch`` set, the run write goes through
+  :func:`stream_run_to_store`, which bounds ingest memory by committing
+  executions in batches.
 * :class:`ScriptCapture` — API capture for ad-hoc code (the paper's Perl
   scripts).  Wrapping a plain Python function records each call as a
   one-execution run, so script-based and workflow-based derivations share
@@ -27,48 +29,26 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.prospective import ProspectiveProvenance
 from repro.core.retrospective import (DataArtifact, ModuleExecution,
                                       PortBinding, WorkflowRun)
 from repro.identity import hash_value, new_id
-from repro.workflow.engine import (ExecutionListener, ModuleResult,
-                                   RunResult)
+from repro.workflow.engine import ExecutionListener, RunResult
 from repro.workflow.faults import FaultPlan, HardCrash
 from repro.workflow.environment import capture_environment
 from repro.workflow.registry import ModuleRegistry
-from repro.workflow.spec import Module, Workflow
 
-__all__ = ["CaptureEvent", "CaptureStats", "ProvenanceCapture",
-           "ScriptCapture", "run_from_result", "stream_run_to_store"]
-
-
-@dataclass(frozen=True)
-class CaptureEvent:
-    """One entry in the streaming capture journal.
-
-    ``seq`` is a monotonic per-capture sequence number assigned at event
-    creation; it — not the wall-clock ``at`` stamp — defines journal order.
-    Wall-clock time can repeat within a burst and can move backwards under
-    clock adjustment, so ``at`` is unreliable as an ordering key.
-    """
-
-    at: float
-    event: str
-    run_id: str
-    subject: str = ""
-    detail: str = ""
-    seq: int = 0
+__all__ = ["CaptureStats", "ProvenanceCapture", "ScriptCapture",
+           "run_from_result", "stream_run_to_store"]
 
 
 @dataclass
 class CaptureStats:
     """Counters describing one capture's traffic."""
 
-    events: int = 0  #: journal events recorded
     runs: int = 0    #: runs materialized
 
 
@@ -115,6 +95,16 @@ def run_from_result(result: RunResult, *,
     execution (in topological order), later producers are recorded in
     ``also_produced_by``.  External inputs become external artifacts.
     """
+    prospective = ProspectiveProvenance.from_workflow(result.workflow,
+                                                      registry)
+    return _run_record(result, prospective, keep_values)
+
+
+def _run_record(result: RunResult, prospective: ProspectiveProvenance,
+                keep_values: bool) -> WorkflowRun:
+    """:func:`run_from_result` against an already built snapshot of the
+    run's workflow: its signature and spec go on the run, and its module
+    interfaces type the artifact ports."""
     artifacts: Dict[str, DataArtifact] = {}
     values: Dict[str, Any] = {}
     by_hash: Dict[str, str] = {}
@@ -142,7 +132,7 @@ def run_from_result(result: RunResult, *,
             values[artifact_id] = value
         return artifact_id
 
-    output_port_types = _port_type_lookup(result.workflow, registry)
+    output_port_types = _port_type_lookup(prospective.interfaces)
     executions: List[ModuleExecution] = []
     for module_id in result.order:
         module_result = result.results[module_id]
@@ -198,8 +188,6 @@ def run_from_result(result: RunResult, *,
             cache_key=module_result.cache_key,
             cached_from=module_result.cached_from))
 
-    prospective = ProspectiveProvenance.from_workflow(result.workflow,
-                                                      registry)
     return WorkflowRun(
         id=result.run_id,
         workflow_id=result.workflow.id,
@@ -216,20 +204,14 @@ def run_from_result(result: RunResult, *,
         values=values)
 
 
-def _port_type_lookup(workflow: Workflow,
-                      registry: Optional[ModuleRegistry]
+def _port_type_lookup(interfaces: Dict[str, Any]
                       ) -> Dict[Tuple[str, str, str], str]:
     lookup: Dict[Tuple[str, str, str], str] = {}
-    if registry is None:
-        return lookup
-    for type_name in {m.type_name for m in workflow.modules.values()}:
-        if type_name not in registry:
-            continue
-        definition = registry.get(type_name)
-        for port in definition.output_ports:
-            lookup[(type_name, port.name, "out")] = port.type_name
-        for port in definition.input_ports:
-            lookup[(type_name, port.name, "in")] = port.type_name
+    for type_name, interface in interfaces.items():
+        for port in interface["outputs"]:
+            lookup[(type_name, port["name"], "out")] = port["type"]
+        for port in interface["inputs"]:
+            lookup[(type_name, port["name"], "in")] = port["type"]
     return lookup
 
 
@@ -298,14 +280,18 @@ class ProvenanceCapture(ExecutionListener):
     """Engine instrumentation that records every run it observes.
 
     Attach to an :class:`~repro.workflow.engine.Executor`; finished runs are
-    appended to :attr:`runs` and optionally saved to a provenance store (any
-    object with a ``save_run(run)`` method).
+    appended to :attr:`runs` and optionally saved to a provenance store.
+    The capture listens for finished runs only, so the engine dispatches
+    no per-module events to it.  Each finished run's workflow is
+    snapshotted once (:meth:`ProspectiveProvenance.from_workflow
+    <repro.core.prospective.ProspectiveProvenance.from_workflow>`): the
+    run takes its signature and spec from that snapshot, and with a store
+    attached the snapshot is saved (``save_workflow``) just before the run.
 
     Args:
         registry: module registry used to type artifact ports.
         store: provenance store finished runs are saved to.
         keep_values: retain artifact values on captured runs.
-        journal_limit: journal retention bound (a deque ``maxlen``).
         stream_batch: when set, store saves go through
             :func:`stream_run_to_store` with this batch size — executions
             flush to the backend incrementally (per-batch transactions on
@@ -314,25 +300,23 @@ class ProvenanceCapture(ExecutionListener):
             injecting a coordinator crash between stream flushes — for
             recovery tests and drills.
 
-    Capture is synchronous: every event is journaled, and every finished
-    run converted and saved, on the engine's coordinating thread before
-    the engine moves on.  A failing store write therefore raises out of
+    Capture is synchronous: every finished run is converted and saved on
+    the engine's coordinating thread before the engine moves on.  A
+    failing store write therefore raises out of
     :meth:`~repro.workflow.engine.Executor.execute` for the run it failed
     on, and the capture keeps working for the next run.
 
     Thread-safety: one capture instance may be shared between executors
-    (or executors driven from different threads), so journal and run
-    bookkeeping, and the store write, are guarded by a lock.  Within one
-    run the converted provenance is deterministic regardless of execution
+    (or executors driven from different threads), so run bookkeeping and
+    the store writes are guarded by a lock; :meth:`run_by_id` finds a
+    given run whatever other runs finished since.  Within one run the
+    converted provenance is deterministic regardless of execution
     parallelism — the execution list follows the workflow's canonical
-    topological order, not wall-clock completion order — and
-    :meth:`normalized_journal` gives a timing-independent view of the
-    event stream for comparisons.
+    topological order, not wall-clock completion order.
     """
 
     def __init__(self, *, registry: Optional[ModuleRegistry] = None,
                  store: Optional[Any] = None, keep_values: bool = True,
-                 journal_limit: int = 10_000,
                  stream_batch: Optional[int] = None,
                  fault_plan: Optional[FaultPlan] = None) -> None:
         self.registry = registry
@@ -342,61 +326,29 @@ class ProvenanceCapture(ExecutionListener):
         self.fault_plan = fault_plan
         self.stats = CaptureStats()
         self.runs: List[WorkflowRun] = []
-        # bounded deque: appends beyond the limit evict the oldest entry
-        # in O(1) instead of an O(n) slice-delete per overflow
-        self.journal: Deque[CaptureEvent] = deque(maxlen=journal_limit)
         self._runs_by_id: Dict[str, WorkflowRun] = {}
         self._lock = threading.Lock()
-        # next(counter) is atomic under CPython, so the hot path takes no
-        # lock to stamp an event's sequence number
-        self._seq = itertools.count(1)
-
-    @property
-    def journal_limit(self) -> int:
-        """The journal's retention bound (the deque's maxlen)."""
-        return self.journal.maxlen
 
     # -- ExecutionListener ------------------------------------------------
-    def on_run_start(self, run_id: str, workflow: Workflow,
-                     environment: Dict[str, Any],
-                     tags: Dict[str, Any]) -> None:
-        self._record("run-start", run_id, workflow.id, workflow.name)
-
-    def on_module_start(self, run_id: str, module: Module,
-                        parameters: Dict[str, Any]) -> None:
-        self._record("module-start", run_id, module.id, module.name)
-
-    def on_module_finish(self, run_id: str, module: Module,
-                         result: ModuleResult) -> None:
-        self._record("module-finish", run_id, module.id, result.status)
-
     def on_run_finish(self, result: RunResult) -> None:
-        run = run_from_result(result, registry=self.registry,
-                              keep_values=self.keep_values)
+        prospective = ProspectiveProvenance.from_workflow(result.workflow,
+                                                          self.registry)
+        run = _run_record(result, prospective, self.keep_values)
         with self._lock:
-            # the store write stays under the capture lock: backends are
+            # the store writes stay under the capture lock: backends are
             # not themselves thread-safe (e.g. sqlite3 connections), so a
             # shared capture must serialize saves from concurrent runs
             self.stats.runs += 1
             self.runs.append(run)
             self._runs_by_id[run.id] = run
             if self.store is not None:
+                self.store.save_workflow(prospective)
                 if self.stream_batch:
                     stream_run_to_store(run, self.store,
                                         batch=self.stream_batch,
                                         fault_plan=self.fault_plan)
                 else:
                     self.store.save_run(run)
-        self._record("run-finish", result.run_id, "", result.status)
-
-    def _record(self, kind: str, run_id: str, subject: str,
-                detail: str) -> None:
-        """Append one event to the journal."""
-        event = CaptureEvent(time.time(), kind, run_id, subject=subject,
-                             detail=detail, seq=next(self._seq))
-        with self._lock:
-            self.stats.events += 1
-            self.journal.append(event)
 
     # -- access ------------------------------------------------------------
     def last_run(self) -> WorkflowRun:
@@ -407,32 +359,6 @@ class ProvenanceCapture(ExecutionListener):
         """A captured run by id, or None — an O(1) index lookup."""
         with self._lock:
             return self._runs_by_id.get(run_id)
-
-    def journal_for_run(self, run_id: str) -> List[CaptureEvent]:
-        """One run's journal events in capture order (sorted by ``seq``).
-
-        Sequence numbers — not wall-clock ``at`` stamps — define order, so
-        the result is stable under clock adjustment and identical-timestamp
-        bursts.
-        """
-        with self._lock:
-            events = [e for e in self.journal if e.run_id == run_id]
-        return sorted(events, key=lambda e: e.seq)
-
-    def normalized_journal(self, run_id: str) -> List[Tuple[str, str, str]]:
-        """One run's events as (event, subject, detail), timing-normalized.
-
-        Parallel execution interleaves module events in completion order;
-        this view sorts each event kind's entries by subject so serial and
-        parallel runs of the same workflow compare equal.
-        """
-        order = {"run-start": 0, "module-start": 1, "module-finish": 2,
-                 "run-finish": 3}
-        with self._lock:
-            events = [e for e in self.journal if e.run_id == run_id]
-        return sorted(
-            ((e.event, e.subject, e.detail) for e in events),
-            key=lambda item: (order.get(item[0], 9), item[1], item[2]))
 
 
 class ScriptCapture:

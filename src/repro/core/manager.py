@@ -34,9 +34,13 @@ __all__ = ["ProvenanceManager"]
 class ProvenanceManager:
     """Facade tying engine, capture, storage and annotations together.
 
-    Provenance is captured synchronously: :meth:`run` returns once the run
-    is recorded and saved to ``store``, and a failing store write raises
-    from :meth:`run`.  :meth:`close` (or leaving a ``with`` block) closes
+    Provenance is captured synchronously by the manager's
+    :class:`~repro.core.capture.ProvenanceCapture`: :meth:`run` returns
+    once the run, and the snapshot of its workflow built once for it, are
+    recorded and saved to ``store``, and a failing store write raises
+    from :meth:`run`.  :meth:`run` and :meth:`rerun` return the run their
+    own call executed, even when other threads run workflows on the same
+    manager meanwhile.  :meth:`close` (or leaving a ``with`` block) closes
     the result cache the manager built from ``cache_path``; a ``cache`` or
     ``store`` passed in stays open for its owner to close.
 
@@ -159,18 +163,17 @@ class ProvenanceManager:
             backend: Optional[str] = None) -> WorkflowRun:
         """Execute ``workflow``, capture and store its provenance.
 
-        Returns the captured :class:`WorkflowRun`; the raw engine result is
-        available as :attr:`last_engine_result`.  ``workers`` and
+        The capture saves the workflow's prospective snapshot and the run
+        to the store.  Returns the captured :class:`WorkflowRun`; the raw
+        engine result is available as :attr:`last_engine_result`.  ``workers`` and
         ``backend`` override the manager's defaults for this run only.
         """
-        self.store.save_workflow(
-            ProspectiveProvenance.from_workflow(workflow, self.registry))
         result = self.executor.execute(workflow, inputs=inputs,
                                        parameter_overrides=parameter_overrides,
                                        tags=tags, workers=workers,
                                        backend=backend)
         self.last_engine_result = result
-        return self.capture.last_run()
+        return self.capture.run_by_id(result.run_id)
 
     # -- partial re-execution ---------------------------------------------
     def _run_for_replay(self, run_or_id: Any) -> WorkflowRun:
@@ -234,8 +237,6 @@ class ProvenanceManager:
             run_or_id, changed_inputs=changed_inputs,
             parameter_overrides=parameter_overrides,
             invalidated_hashes=invalidated_hashes, force=force)
-        self.store.save_workflow(ProspectiveProvenance.from_workflow(
-            plan.workflow, self.registry))
         # stale modules bypass the memo cache: for invalidated/forced
         # seeds the cache holds exactly the result being repudiated, and
         # a "re-execute" plan that silently serves memoized outputs would
@@ -250,7 +251,7 @@ class ProvenanceManager:
                   "replay_stale": len(plan.stale),
                   "replay_reused": len(plan.reused)})
         self.last_engine_result = result
-        return self.capture.last_run(), plan
+        return self.capture.run_by_id(result.run_id), plan
 
     # -- provenance access ----------------------------------------------
     def prospective(self, workflow: Workflow) -> ProspectiveProvenance:

@@ -5,8 +5,46 @@ from __future__ import annotations
 import pytest
 
 from repro.core import ProvenanceManager
-from repro.workflow import Executor, Module, ResultCache, Workflow
+from repro.workflow import (ExecutionListener, Executor, Module,
+                            ResultCache, Workflow)
 from repro.workflow.modules import standard_registry
+
+
+class RecordingListener(ExecutionListener):
+    """Records every engine listener event, in arrival order."""
+
+    #: rank of each event kind in :meth:`normalized`.
+    KIND_ORDER = {"run-start": 0, "module-start": 1, "module-finish": 2,
+                  "run-finish": 3}
+
+    def __init__(self):
+        self.events = []
+
+    def on_run_start(self, run_id, workflow, environment, tags):
+        self.events.append(("run-start", workflow.name))
+
+    def on_module_start(self, run_id, module, parameters):
+        self.events.append(("module-start", module.name))
+
+    def on_module_finish(self, run_id, module, result):
+        self.events.append(("module-finish", module.name, result.status))
+
+    def on_run_finish(self, result):
+        self.events.append(("run-finish", result.status))
+
+    def normalized(self):
+        """The events grouped by kind, each kind sorted by its fields.
+
+        Parallel execution interleaves module events in completion order;
+        in this form serial and parallel runs of one workflow compare
+        equal.
+        """
+        return sorted(self.events,
+                      key=lambda e: (self.KIND_ORDER[e[0]], e[1:]))
+
+    def kinds(self):
+        """The event kinds in arrival order."""
+        return [event[0] for event in self.events]
 
 
 @pytest.fixture(scope="session")

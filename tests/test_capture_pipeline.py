@@ -1,5 +1,5 @@
-"""Capture pipeline: synchronous capture, journal ordering, streaming
-ingest, and the observed-process workload.
+"""Capture pipeline: synchronous capture, the workflow snapshot saved
+with each run, streaming ingest, and the observed-process workload.
 
 The contract under test: every run is recorded and saved on the engine's
 coordinating thread, so a store failure surfaces from the run that hit it;
@@ -9,13 +9,12 @@ streamed ingest reloads exactly what a monolithic ``save_run`` reloads.
 import json
 import sys
 import threading
-import time
 
 import pytest
 
-from repro.core import (ProvenanceCapture, ProvenanceManager,
-                        stream_run_to_store)
-from repro.core.capture import CaptureEvent
+from repro.core import (ProspectiveProvenance, ProvenanceCapture,
+                        ProvenanceManager, stream_run_to_store)
+from repro.service.sharded import ShardedProvenanceStore
 from repro.storage.base import BufferedRunStream, StoreError
 from repro.storage.documents import DocumentStore
 from repro.storage.memory import MemoryStore
@@ -25,7 +24,8 @@ from repro.workflow import Executor
 from repro.workflow.modules.observed import (ObservedProcessSession,
                                              file_digest)
 from repro.workloads import random_workflow, wide_workflow
-from tests.conftest import build_chain_workflow
+from tests.conftest import (build_chain_workflow, build_fig1_workflow,
+                            module_by_name)
 
 #: (label, executor kwargs) for the scheduler backends.
 BACKEND_MATRIX = [
@@ -104,21 +104,17 @@ class TestSyncCapture:
         assert capture.stats.runs == 2
 
     def test_same_engine_run_byte_identical(self, registry):
-        """Two captures attached to one executor see the same events and
-        materialize byte-identical runs: what is recorded depends only
-        on the engine's events."""
+        """Two captures attached to one executor materialize
+        byte-identical runs: what is recorded depends only on the
+        engine's result."""
         first = ProvenanceCapture(registry=registry)
         second = ProvenanceCapture(registry=registry)
         executor = Executor(registry, listeners=[first, second])
         workflow = build_chain_workflow(length=5, work=5)
-        result = executor.execute(workflow)
+        executor.execute(workflow)
         assert (_normalized_dict(first.last_run())
                 == _normalized_dict(second.last_run()))
-        assert (first.normalized_journal(result.run_id)
-                == second.normalized_journal(result.run_id))
-        # run start/finish plus a start/finish pair per module
-        assert (first.stats.events == second.stats.events
-                == 2 + 2 * len(workflow.modules))
+        assert len(first.last_run().executions) == len(workflow.modules)
 
     @pytest.mark.parametrize("label,kwargs", BACKEND_MATRIX,
                              ids=[label for label, _ in BACKEND_MATRIX])
@@ -151,16 +147,11 @@ class TestSyncCapture:
             thread.join()
         assert not errors, errors
         assert shared.stats.runs == 2
-        assert shared.stats.events == len(shared.journal)
-        assert len({event.seq for event in shared.journal}) == \
-            len(shared.journal)
         for result in results:
             run = shared.run_by_id(result.run_id)
             assert _provenance_fingerprint(run) == expected
             assert (_provenance_fingerprint(store.load_run(run.id))
                     == expected)
-            assert (shared.normalized_journal(result.run_id)
-                    == alone.normalized_journal(alone.last_run().id))
 
     def test_stream_error_aborts_partial_run(self, registry):
         """A streamed save that fails mid-run raises from the run that
@@ -199,39 +190,115 @@ class _FailFirstFlushStore(RelationalStore):
         return writer
 
 
-class TestJournalOrdering:
-    def test_seq_defines_order_under_constant_clock(self, registry,
-                                                    monkeypatch):
-        """Wall-clock ties (or reversals) must not scramble the journal:
-        ``seq`` is the ordering key."""
-        capture = ProvenanceCapture(registry=registry)
-        frozen = time.time()
-        monkeypatch.setattr("repro.core.capture.time",
-                            type("T", (), {"time": staticmethod(
-                                lambda: frozen)}))
-        executor = Executor(registry, listeners=[capture])
-        result = executor.execute(build_chain_workflow(length=4, work=1))
-        events = capture.journal_for_run(result.run_id)
-        seqs = [event.seq for event in events]
-        assert seqs == sorted(seqs)
-        assert len(set(seqs)) == len(seqs)
-        assert all(event.at == frozen for event in events)
-        assert events[0].event == "run-start"
-        assert events[-1].event == "run-finish"
+#: (label, factory of a fresh store under a temp dir) for every store
+#: type a capture can write to.
+STORE_FACTORIES = [
+    ("memory", lambda root: MemoryStore()),
+    ("relational", lambda root: RelationalStore()),
+    ("triples", lambda root: TripleProvenanceStore()),
+    ("documents", lambda root: DocumentStore(root / "docs")),
+    ("sharded", lambda root: ShardedProvenanceStore.open(root / "shards",
+                                                         shards=2)),
+]
 
-    def test_seq_monotonic_across_runs(self, registry):
-        capture = ProvenanceCapture(registry=registry)
-        executor = Executor(registry, listeners=[capture])
-        first = executor.execute(build_chain_workflow(length=2, work=1))
-        second = executor.execute(build_chain_workflow(length=2, work=1))
-        first_seqs = [e.seq for e in capture.journal_for_run(first.run_id)]
-        second_seqs = [e.seq
-                       for e in capture.journal_for_run(second.run_id)]
-        assert max(first_seqs) < min(second_seqs)
 
-    def test_capture_event_default_seq(self):
-        event = CaptureEvent(at=1.0, event="x", run_id="r")
-        assert event.seq == 0
+def _count_snapshots(monkeypatch):
+    """Count ``ProspectiveProvenance.from_workflow`` calls by workflow id."""
+    calls = []
+    build = ProspectiveProvenance.from_workflow
+
+    def counted(workflow, registry=None):
+        calls.append(workflow.id)
+        return build(workflow, registry)
+
+    monkeypatch.setattr(ProspectiveProvenance, "from_workflow",
+                        staticmethod(counted))
+    return calls
+
+
+class TestWorkflowSnapshot:
+    @pytest.mark.parametrize("label,make_store", STORE_FACTORIES,
+                             ids=[label for label, _ in STORE_FACTORIES])
+    def test_capture_saves_workflow_with_run(self, registry, tmp_path,
+                                             label, make_store):
+        """A capture with a store leaves the workflow row, equal to a
+        fresh snapshot, and the run signed with that snapshot."""
+        store = make_store(tmp_path)
+        capture = ProvenanceCapture(registry=registry, store=store)
+        workflow = build_fig1_workflow(size=6)
+        result = Executor(registry, listeners=[capture]).execute(workflow)
+        expected = ProspectiveProvenance.from_workflow(workflow, registry)
+        assert store.load_workflow(workflow.id) == expected
+        run = store.load_run(result.run_id)
+        assert run.workflow_signature == expected.signature
+        assert run.workflow_spec == expected.spec
+
+    def test_streamed_capture_saves_workflow(self, registry):
+        store = RelationalStore(store_values=True)
+        capture = ProvenanceCapture(registry=registry, store=store,
+                                    stream_batch=2)
+        workflow = random_workflow(modules=12, width=4, seed=5, work=2)
+        result = Executor(registry, listeners=[capture]).execute(workflow)
+        assert (store.load_workflow(workflow.id)
+                == ProspectiveProvenance.from_workflow(workflow, registry))
+        assert (store.load_run(result.run_id).to_dict()
+                == capture.run_by_id(result.run_id).to_dict())
+
+    def test_manager_run_builds_one_snapshot(self, monkeypatch):
+        manager = ProvenanceManager()
+        workflow = build_fig1_workflow(size=6)
+        calls = _count_snapshots(monkeypatch)
+        run = manager.run(workflow)
+        assert calls == [workflow.id]
+        assert manager.store.load_workflow(workflow.id).signature == \
+            run.workflow_signature
+
+    def test_manager_rerun_builds_one_snapshot(self, monkeypatch):
+        manager = ProvenanceManager()
+        workflow = build_fig1_workflow(size=6)
+        run = manager.run(workflow)
+        iso = module_by_name(workflow, "iso")
+        calls = _count_snapshots(monkeypatch)
+        new_run, _ = manager.rerun(
+            run.id, parameter_overrides={iso.id: {"level": 50.0}})
+        assert calls == [workflow.id]
+        assert new_run.tags["replay_of"] == run.id
+
+
+def _race_other_run(manager, registry):
+    """Make every ``manager.executor.execute`` let a second executor that
+    shares ``manager.capture`` finish a run of another workflow before
+    the call returns — what a concurrent caller of one manager can do."""
+    other = Executor(registry, listeners=[manager.capture])
+    execute = manager.executor.execute
+
+    def racing_execute(workflow, **kwargs):
+        result = execute(workflow, **kwargs)
+        other.execute(build_chain_workflow(length=1, work=1))
+        return result
+
+    manager.executor.execute = racing_execute
+
+
+class TestManagerReturnsItsOwnRun:
+    def test_run_returns_its_own_run(self, registry):
+        manager = ProvenanceManager(registry=registry)
+        _race_other_run(manager, registry)
+        workflow = build_fig1_workflow(size=6)
+        run = manager.run(workflow)
+        assert run.workflow_id == workflow.id
+        assert run.id == manager.last_engine_result.run_id
+
+    def test_rerun_returns_its_own_run(self, registry):
+        manager = ProvenanceManager(registry=registry)
+        workflow = build_fig1_workflow(size=6)
+        run = manager.run(workflow)
+        _race_other_run(manager, registry)
+        iso = module_by_name(workflow, "iso")
+        new_run, _ = manager.rerun(
+            run.id, parameter_overrides={iso.id: {"level": 50.0}})
+        assert new_run.workflow_id == workflow.id
+        assert new_run.tags["replay_of"] == run.id
 
 
 def _captured_run(registry, store=None, **capture_kwargs):

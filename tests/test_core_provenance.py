@@ -9,7 +9,8 @@ from repro.core import (ProspectiveProvenance, ProvenanceCapture,
                         run_from_result, upstream_artifacts,
                         upstream_executions)
 from repro.workflow import Executor, Module, Workflow
-from tests.conftest import build_fig1_workflow, module_by_name
+from tests.conftest import (RecordingListener, build_fig1_workflow,
+                            module_by_name)
 
 
 @pytest.fixture()
@@ -106,21 +107,28 @@ class TestRunFromResult:
             run.executions[0].parameters
 
 
-class TestCaptureJournal:
-    def test_journal_records_lifecycle(self, registry):
+class TestCapture:
+    def test_lifecycle_events_and_captured_run(self, registry):
         capture = ProvenanceCapture(registry=registry)
-        executor = Executor(registry, listeners=[capture])
-        executor.execute(build_fig1_workflow(size=8))
-        kinds = [event.event for event in capture.journal]
+        listener = RecordingListener()
+        executor = Executor(registry, listeners=[capture, listener])
+        result = executor.execute(build_fig1_workflow(size=8))
+        kinds = listener.kinds()
         assert kinds[0] == "run-start"
         assert kinds[-1] == "run-finish"
         assert kinds.count("module-start") == 5
+        assert kinds.count("module-finish") == 5
+        run = capture.run_by_id(result.run_id)
+        assert [e.module_id for e in run.executions] == result.order
 
-    def test_journal_bounded(self, registry):
-        capture = ProvenanceCapture(registry=registry, journal_limit=3)
-        executor = Executor(registry, listeners=[capture])
-        executor.execute(build_fig1_workflow(size=8))
-        assert len(capture.journal) == 3
+    def test_lone_capture_gets_no_module_events(self, registry):
+        executor = Executor(registry,
+                            listeners=[ProvenanceCapture(registry=registry)])
+        table = executor._dispatch_table
+        assert table["on_run_start"] == ()
+        assert table["on_module_start"] == ()
+        assert table["on_module_finish"] == ()
+        assert len(table["on_run_finish"]) == 1
 
     def test_run_by_id(self, registry):
         capture = ProvenanceCapture(registry=registry)

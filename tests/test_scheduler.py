@@ -16,7 +16,7 @@ from repro.workflow.scheduler import (ProcessPoolBackend, ReadySetScheduler,
                                       make_backend)
 from repro.workflow.serialization import ProcessJob
 from repro.workloads import random_workflow, wide_workflow
-from tests.conftest import (assert_each_key_computed_once,
+from tests.conftest import (RecordingListener, assert_each_key_computed_once,
                             build_chain_workflow, build_fig1_workflow,
                             module_by_name, run_pair_sharing_cache)
 
@@ -277,14 +277,13 @@ class TestSerialParallelDeterminism:
 
     def test_listener_events_identical_normalized(self, registry):
         workflow = build_fig1_workflow(size=8)
-        journals = {}
+        events = {}
         for workers in (None, 4):
-            capture = ProvenanceCapture(registry=registry)
-            executor = Executor(registry, listeners=[capture],
-                                workers=workers)
-            result = executor.execute(workflow)
-            journals[workers] = capture.normalized_journal(result.run_id)
-        assert journals[None] == journals[4]
+            listener = RecordingListener()
+            Executor(registry, listeners=[listener],
+                     workers=workers).execute(workflow)
+            events[workers] = listener.normalized()
+        assert events[None] == events[4]
 
     def test_diamond_failure_propagation_parity(self, registry):
         workflow = build_diamond_workflow(fail_left=True)
@@ -382,18 +381,18 @@ class TestBackendDeterminismMatrix:
 
     def test_listener_events_balanced_and_identical(self, registry):
         workflow = wide_workflow(branches=5, depth=2, work=50)
-        journals = {}
+        events = {}
         for label, kwargs in BACKEND_MATRIX:
-            capture = ProvenanceCapture(registry=registry)
-            executor = Executor(registry, listeners=[capture], **kwargs)
-            result = executor.execute(workflow)
-            journal = capture.normalized_journal(result.run_id)
-            kinds = [event for event, _, _ in journal]
+            listener = RecordingListener()
+            Executor(registry, listeners=[listener],
+                     **kwargs).execute(workflow)
+            kinds = listener.kinds()
+            assert kinds[0] == "run-start" and kinds[-1] == "run-finish"
             assert kinds.count("module-start") == len(workflow.modules)
             assert kinds.count("module-finish") == len(workflow.modules)
-            journals[label] = journal
-        assert journals["serial"] == journals["thread"]
-        assert journals["serial"] == journals["process"]
+            events[label] = listener.normalized()
+        assert events["serial"] == events["thread"]
+        assert events["serial"] == events["process"]
 
     def test_executions_seq_reload_order_identical(self, registry,
                                                    tmp_path):
@@ -913,10 +912,10 @@ class TestPartialRerunApp:
         workflow = build_fig1_workflow(size=8)
         run = manager.run(workflow)
         iso = module_by_name(workflow, "iso")
+        listener = RecordingListener()
+        manager.executor.add_listener(listener)
         manager.rerun(run.id, parameter_overrides={iso.id: {"level": 50.0}})
-        replay_id = manager.last_engine_result.run_id
-        events = manager.capture.normalized_journal(replay_id)
-        kinds = [event for event, _, _ in events]
+        kinds = listener.kinds()
         # reused, cached and computed modules all emit start AND finish
         assert kinds.count("module-start") == len(workflow.modules)
         assert kinds.count("module-finish") == len(workflow.modules)

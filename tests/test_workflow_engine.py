@@ -2,27 +2,10 @@
 
 import pytest
 
-from repro.workflow import (ExecutionError, ExecutionListener, Executor,
-                            Module, ResultCache, Workflow)
-from tests.conftest import (build_chain_workflow, build_fig1_workflow,
-                            module_by_name)
-
-
-class RecordingListener(ExecutionListener):
-    def __init__(self):
-        self.events = []
-
-    def on_run_start(self, run_id, workflow, environment, tags):
-        self.events.append(("run-start", workflow.name))
-
-    def on_module_start(self, run_id, module, parameters):
-        self.events.append(("module-start", module.name))
-
-    def on_module_finish(self, run_id, module, result):
-        self.events.append(("module-finish", module.name, result.status))
-
-    def on_run_finish(self, result):
-        self.events.append(("run-finish", result.status))
+from repro.workflow import (ExecutionError, Executor, Module, ResultCache,
+                            Workflow)
+from tests.conftest import (RecordingListener, build_chain_workflow,
+                            build_fig1_workflow, module_by_name)
 
 
 class TestBasicExecution:
