@@ -149,7 +149,7 @@ def _measure(registry, tmp_path, shards, latency, duration, tag):
     store = _LatencyShardedStore(
         [RelationalStore(str(tmp_path / f"{tag}-s{index}.db"))
          for index in range(shards)],
-        latency, scatter_workers=shards)
+        latency)
     with ProvenanceService(store, read_pool=READERS,
                            close_store=True) as service:
         ingested, reads, acked_ids = _storm(service, _RUNS_CACHE, duration)

@@ -66,8 +66,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import ProvenanceService, ShardedProvenanceStore
     store = ShardedProvenanceStore.open(
-        args.root, shards=args.shards, store_values=args.store_values,
-        scatter_workers=args.shards)
+        args.root, shards=args.shards, store_values=args.store_values)
     service = ProvenanceService(store, host=args.host, port=args.port,
                                 read_pool=args.read_pool,
                                 close_store=True)

@@ -363,8 +363,9 @@ class ProvenanceManager:
 
     def annotations_for(self, target_kind: str,
                         target_id: str) -> List[Annotation]:
-        """Annotations attached to one entity."""
-        return self.annotations.for_target(target_kind, target_id)
+        """Annotations attached to one entity, as held by the store (so
+        a manager reopened on a persistent store sees earlier sessions')."""
+        return self.store.annotations_for(target_kind, target_id)
 
     # -- subsystem handoffs -------------------------------------------------
     def to_opm(self, run_or_id: Any):

@@ -73,9 +73,7 @@ class ProvenanceService:
     """Serve one provenance store to many concurrent socket clients.
 
     ``read_pool`` sizes the pool of read-only view stores (0 disables it,
-    forcing the locked fallback); ``read_store_factory`` overrides how a
-    view is built — it must return a store over the *same* data, and the
-    service owns and closes what it returns.  ``fault_plan`` threads the
+    forcing the locked fallback).  ``fault_plan`` threads the
     deterministic fault harness through the ``service-request`` seam
     (``kind="drop"`` kills the connection mid-request, anything else
     fails the request), keyed by op name.
@@ -88,9 +86,7 @@ class ProvenanceService:
     def __init__(self, store: ProvenanceStore, *, host: str = "127.0.0.1",
                  port: int = 0, read_pool: int = 2, max_batch: int = 2048,
                  max_streams: int = 64, fault_plan: Optional[Any] = None,
-                 read_store_factory: Optional[Callable[[],
-                                                       ProvenanceStore]]
-                 = None, close_store: bool = False) -> None:
+                 close_store: bool = False) -> None:
         self.store = store
         self.fault_plan = fault_plan
         self.max_batch = max_batch
@@ -110,7 +106,7 @@ class ProvenanceService:
         self._stream_ids = count(1)
         self._enable_wal()
         self._pool_views: List[ProvenanceStore] = []
-        self._pool = self._build_read_pool(read_pool, read_store_factory)
+        self._pool = self._build_read_pool(read_pool)
         self._listener = socket.create_server((host, port))
         self.host, self.port = self._listener.getsockname()[:2]
         self._accept_thread: Optional[threading.Thread] = None
@@ -135,44 +131,29 @@ class ProvenanceService:
                 shard._connection.execute("PRAGMA journal_mode=WAL")
                 shard._connection.execute("PRAGMA busy_timeout=10000")
 
-    def _default_read_factory(self) -> Optional[Callable[[],
-                                                         ProvenanceStore]]:
+    def _build_read_pool(self, size: int) -> "Optional[queue.LifoQueue]":
+        """Open ``size`` read-only views onto the shard files, or return
+        None (the locked fallback) when there are no files to reopen."""
         from repro.storage.relational import RelationalStore
-        specs = []
+        if size <= 0:
+            return None
         for shard in self._shards:
             if not isinstance(shard, RelationalStore) \
                     or shard.path == ":memory:":
                 return None  # nothing to open a second connection to
-            specs.append((shard.path, shard.store_values))
-
-        def factory() -> ProvenanceStore:
+        pool: "queue.LifoQueue" = queue.LifoQueue()
+        for _ in range(size):
             views: List[ProvenanceStore] = []
-            for path, store_values in specs:
-                view = RelationalStore(path, store_values=store_values)
+            for shard in self._shards:
+                view = RelationalStore(shard.path,
+                                       store_values=shard.store_values)
                 view._connection.execute("PRAGMA busy_timeout=10000")
                 view._connection.execute("PRAGMA query_only=ON")
                 views.append(view)
-            if len(views) == 1:
-                return views[0]
-            return ShardedProvenanceStore(views,
-                                          scatter_workers=len(views))
-
-        return factory
-
-    def _build_read_pool(self, size: int,
-                         factory: Optional[Callable[[], ProvenanceStore]]
-                         ) -> "Optional[queue.LifoQueue]":
-        if size <= 0:
-            return None
-        if factory is None:
-            factory = self._default_read_factory()
-            if factory is None:
-                return None
-        pool: "queue.LifoQueue" = queue.LifoQueue()
-        for _ in range(size):
-            view = factory()
-            self._pool_views.append(view)
-            pool.put(view)
+            read_view = (views[0] if len(views) == 1
+                         else ShardedProvenanceStore(views))
+            self._pool_views.append(read_view)
+            pool.put(read_view)
         return pool
 
     @contextmanager

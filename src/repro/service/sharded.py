@@ -19,9 +19,8 @@ cross-run operations scatter to every shard and gather:
 The sharded store satisfies the full :class:`ProvenanceStore` contract
 (it runs unchanged under the cross-backend parity catalog) and inherits
 its children's threading discipline: callers serialize concurrent use,
-as with a single relational store.  ``scatter_workers`` optionally fans
-the scatter phase out on a small thread pool — shards are independent
-files/connections, so their C-level work and I/O waits overlap.
+as with a single relational store.  Scatter phases visit the shards in
+index order on the calling thread.
 """
 
 from __future__ import annotations
@@ -80,24 +79,19 @@ class ShardedProvenanceStore(ProvenanceStore):
 
     ``fault_plan`` threads the deterministic fault harness through the
     ``shard-commit`` seam (bulk ingest crashing between per-shard
-    commits); ``scatter_workers`` > 0 evaluates scatter phases on a
-    thread pool instead of sequentially.
+    commits).
     """
 
     def __init__(self, shards: Sequence[ProvenanceStore], *,
-                 fault_plan: Optional[Any] = None,
-                 scatter_workers: int = 0) -> None:
+                 fault_plan: Optional[Any] = None) -> None:
         self.shards: List[ProvenanceStore] = list(shards)
         if not self.shards:
             raise StoreError("a sharded store needs at least one shard")
         self.fault_plan = fault_plan
-        self.scatter_workers = min(scatter_workers, len(self.shards))
-        self._executor: Optional[Any] = None
 
     @classmethod
     def open(cls, root: Any, *, shards: int = 4, store_values: bool = False,
-             fault_plan: Optional[Any] = None,
-             scatter_workers: int = 0) -> "ShardedProvenanceStore":
+             fault_plan: Optional[Any] = None) -> "ShardedProvenanceStore":
         """Open (creating if needed) the canonical on-disk layout:
         ``<root>/shard-00.db .. shard-NN.db``, one relational store each.
 
@@ -121,8 +115,7 @@ class ShardedProvenanceStore(ProvenanceStore):
         stores = [RelationalStore(str(root / f"shard-{index:02d}.db"),
                                   store_values=store_values)
                   for index in range(shards)]
-        return cls(stores, fault_plan=fault_plan,
-                   scatter_workers=scatter_workers)
+        return cls(stores, fault_plan=fault_plan)
 
     # -- routing ---------------------------------------------------------
     def shard_index(self, run_id: str) -> int:
@@ -132,26 +125,6 @@ class ShardedProvenanceStore(ProvenanceStore):
     def shard_for(self, run_id: str) -> ProvenanceStore:
         """The child store owning ``run_id``."""
         return self.shards[self.shard_index(run_id)]
-
-    def _scatter(self, task: Any) -> List[Any]:
-        """Evaluate ``task(shard)`` for every shard, in shard order.
-
-        With ``scatter_workers`` the evaluations run on a thread pool —
-        each shard is touched by exactly one task, so per-shard
-        single-threaded discipline is preserved while independent
-        shards' C calls and I/O waits overlap.
-        """
-        if self.scatter_workers > 1 and len(self.shards) > 1:
-            return list(self._pool().map(task, self.shards))
-        return [task(shard) for shard in self.shards]
-
-    def _pool(self) -> Any:
-        if self._executor is None:
-            from concurrent.futures import ThreadPoolExecutor
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.scatter_workers,
-                thread_name_prefix="repro-shard-scatter")
-        return self._executor
 
     # -- runs ------------------------------------------------------------
     def save_run(self, run: WorkflowRun) -> None:
@@ -173,7 +146,7 @@ class ShardedProvenanceStore(ProvenanceStore):
         return self.shard_for(run_id).delete_run(run_id)
 
     def list_runs(self) -> List[RunSummary]:
-        lists = self._scatter(lambda shard: shard.list_runs())
+        lists = [shard.list_runs() for shard in self.shards]
         return list(heapq.merge(
             *lists, key=lambda summary: (summary.started, summary.run_id)))
 
@@ -231,8 +204,8 @@ class ShardedProvenanceStore(ProvenanceStore):
 
     def list_workflows(self) -> List[str]:
         ids: Set[str] = set()
-        for listing in self._scatter(lambda shard: shard.list_workflows()):
-            ids.update(listing)
+        for shard in self.shards:
+            ids.update(shard.list_workflows())
         return sorted(ids)
 
     # -- annotations -----------------------------------------------------
@@ -258,9 +231,8 @@ class ShardedProvenanceStore(ProvenanceStore):
 
     def all_annotations(self) -> List[Annotation]:
         merged: List[Annotation] = []
-        for annotations in self._scatter(
-                lambda shard: shard.all_annotations()):
-            merged.extend(annotations)
+        for shard in self.shards:
+            merged.extend(shard.all_annotations())
         return sorted(merged, key=lambda annotation: annotation.id)
 
     # -- lineage ---------------------------------------------------------
@@ -284,12 +256,10 @@ class ShardedProvenanceStore(ProvenanceStore):
         depth = 0
         while frontier and (max_depth is None or depth < max_depth):
             depth += 1
-            neighbourhoods = self._scatter(
-                lambda shard, nodes=frozenset(frontier):
-                self._shard_neighbours(shard, nodes, direction, runs_scope))
             next_frontier: Set[str] = set()
-            for neighbours in neighbourhoods:
-                for node in neighbours:
+            for shard in self.shards:
+                for node in self._shard_neighbours(shard, frontier,
+                                                   direction, runs_scope):
                     if node not in seen:
                         seen.add(node)
                         next_frontier.add(node)
@@ -299,13 +269,13 @@ class ShardedProvenanceStore(ProvenanceStore):
     def _resolve_seeds(self, key: str) -> Set[str]:
         probe = ProvQuery.artifacts().where(id=key).project("value_hash")
         seeds: Set[str] = set()
-        for rows in self._scatter(lambda shard: shard.select(probe).all()):
-            for row in rows:
+        for shard in self.shards:
+            for row in shard.select(probe):
                 seeds.add(row["value_hash"])
         return seeds or {key}
 
     @staticmethod
-    def _shard_neighbours(shard: ProvenanceStore, nodes: frozenset,
+    def _shard_neighbours(shard: ProvenanceStore, nodes: Set[str],
                           direction: str,
                           within_runs: Optional[Tuple[str, ...]]
                           ) -> Set[str]:
@@ -361,16 +331,9 @@ class ShardedProvenanceStore(ProvenanceStore):
                          else row[name]
                          for name, descending in order_keys)
 
-        if self.scatter_workers > 1 and len(self.shards) > 1:
-            # parallel scatter: materialize per-shard row lists
-            # concurrently (each list already in canonical order), then
-            # heap-merge the sorted lists
-            parts = self._scatter(
-                lambda shard: shard.select(shard_query).all())
-        else:
-            # lazy scatter: shards are consumed row-by-row as the heap
-            # demands, so a narrow window never materializes a shard
-            parts = [shard.select(shard_query) for shard in self.shards]
+        # shards are consumed row-by-row as the heap demands, so a
+        # narrow window never materializes a shard
+        parts = [shard.select(shard_query) for shard in self.shards]
         return heapq.merge(*parts, key=sort_key)
 
     # -- crash-consistency surface ---------------------------------------
@@ -385,9 +348,6 @@ class ShardedProvenanceStore(ProvenanceStore):
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
         for shard in self.shards:
             shard.close()
 

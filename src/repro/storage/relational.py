@@ -134,6 +134,7 @@ CREATE TABLE IF NOT EXISTS annotations (
     created REAL NOT NULL,
     seq INTEGER
 );
+CREATE INDEX IF NOT EXISTS idx_runs_started ON runs(started, id);
 CREATE INDEX IF NOT EXISTS idx_exec_run ON executions(run_id);
 CREATE INDEX IF NOT EXISTS idx_exec_type ON executions(module_type);
 CREATE INDEX IF NOT EXISTS idx_art_hash ON artifacts(value_hash);

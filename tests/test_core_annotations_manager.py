@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import Annotation, AnnotationStore, ProvenanceManager
+from repro.storage import RelationalStore
 from tests.conftest import build_fig1_workflow, module_by_name
 
 
@@ -86,6 +87,17 @@ class TestProvenanceManager:
         stored = manager.store.annotations_for("run", run.id)
         assert stored[0].value == "approved"
         assert manager.annotations_for("run", run.id)[0].author == "carol"
+
+    def test_reopened_manager_reads_stored_annotations(self, tmp_path):
+        path = str(tmp_path / "prov.db")
+        first = ProvenanceManager(store=RelationalStore(path))
+        made = first.annotate("run", "run-x", "review", "approved")
+        first.store.close()
+        second = ProvenanceManager(store=RelationalStore(path))
+        try:
+            assert second.annotations_for("run", "run-x") == [made]
+        finally:
+            second.store.close()
 
     def test_cache_speeds_second_run(self, manager):
         workflow = build_fig1_workflow(size=8)

@@ -24,6 +24,9 @@ from repro.storage import (DocumentStore, INTERRUPTED_STATUS, MemoryStore,
                            resume_run)
 from repro.workflow import CacheEntry, Executor, PersistentResultCache
 
+#: Checkout root: the SIGKILL child imports ``src`` and ``tests`` from it.
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 def _cache_entry(value):
     return CacheEntry(outputs={"value": value},
@@ -116,7 +119,7 @@ class TestSigkillMidStream:
         sidecar = str(tmp_path / "killed.json")
         child = subprocess.Popen(
             [sys.executable, "-c", self.CHILD, db, sidecar],
-            cwd="/root/repo", stdout=subprocess.PIPE,
+            cwd=REPO_ROOT, stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, text=True)
         try:
             marker = child.stdout.readline()

@@ -230,6 +230,18 @@ class TestServiceBasics:
                     == local.lineage_closure(key, direction="down",
                                              max_depth=1))
 
+    def test_sharded_reads_start_no_threads(self, tmp_path, corpus):
+        store = ShardedProvenanceStore.open(tmp_path / "prov", shards=2)
+        with ProvenanceService(store, close_store=True) as server, \
+                connect(server) as client:
+            client.save_runs(corpus)
+            assert client.select(ProvQuery.runs().order_by("-started")
+                                 .limit(3)).all()
+            assert client.lineage_closure(traced_product(corpus[0]))
+            scatter = [thread.name for thread in threading.enumerate()
+                       if thread.name.startswith("repro-shard-scatter")]
+            assert scatter == []
+
     def test_store_and_query_errors_cross_the_wire(self, service):
         with connect(service) as client:
             with pytest.raises(StoreError):

@@ -263,6 +263,29 @@ class TestRelationalSpecifics:
                 assert scans == [], (statement, scans)
         assert counts[0] == counts[1]
 
+    def test_run_order_uses_index(self, captured_run):
+        """The newest-10-runs query and list_runs walk idx_runs_started
+        instead of sorting every run."""
+        _, run = captured_run
+        store = RelationalStore()
+        store.save_runs([clone_run(run, f"c{index}", started=float(index))
+                         for index in range(12)])
+        statements = []
+        store._connection.set_trace_callback(statements.append)
+        try:
+            newest = store.select(
+                ProvQuery.runs().order_by("-started").limit(10)).all()
+            listed = store.list_runs()
+        finally:
+            store._connection.set_trace_callback(None)
+        assert [row["started"] for row in newest] == [
+            float(index) for index in range(11, 1, -1)]
+        assert len(listed) == 12
+        for statement in statements:
+            plan = " ".join(row[-1] for row in store.sql(
+                f"EXPLAIN QUERY PLAN {statement}"))
+            assert "idx_runs_started" in plan, (statement, plan)
+
     def test_row_level_write_parity(self, captured_run):
         """save_run, save_runs and streams of any batch size write the
         same rows into every table."""
