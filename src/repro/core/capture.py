@@ -90,6 +90,8 @@ def run_from_result(result: RunResult, *,
                     keep_values: bool = True) -> WorkflowRun:
     """Convert an engine :class:`RunResult` into retrospective provenance.
 
+    The run's signature and spec come from the workflow version's shared
+    snapshot (see :class:`~repro.core.prospective.ProspectiveProvenance`).
     Artifact identity: within a run, all port values with equal content hash
     collapse to a single artifact; its creator is the first producing
     execution (in topological order), later producers are recorded in
@@ -282,11 +284,13 @@ class ProvenanceCapture(ExecutionListener):
     Attach to an :class:`~repro.workflow.engine.Executor`; finished runs are
     appended to :attr:`runs` and optionally saved to a provenance store.
     The capture listens for finished runs only, so the engine dispatches
-    no per-module events to it.  Each finished run's workflow is
-    snapshotted once (:meth:`ProspectiveProvenance.from_workflow
-    <repro.core.prospective.ProspectiveProvenance.from_workflow>`): the
-    run takes its signature and spec from that snapshot, and with a store
-    attached the snapshot is saved (``save_workflow``) just before the run.
+    no per-module events to it.  Each finished run takes its signature
+    and spec from its workflow's snapshot
+    (:meth:`ProspectiveProvenance.from_workflow
+    <repro.core.prospective.ProspectiveProvenance.from_workflow>`), built
+    once per workflow version and shared by every run of that version;
+    with a store attached the snapshot is saved (``save_workflow``) just
+    before the run.
 
     Args:
         registry: module registry used to type artifact ports.

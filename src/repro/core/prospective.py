@@ -13,6 +13,7 @@ even without the registry that defined the behaviour.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -55,6 +56,13 @@ class RecipeStep:
 class ProspectiveProvenance:
     """A self-contained snapshot of a workflow specification.
 
+    A snapshot is a shared, read-only value for each workflow version:
+    :meth:`from_workflow` returns the same object for every call on an
+    unchanged workflow (and registry), and every run captured from that
+    version carries its :attr:`spec`.  The snapshot owns its parameter
+    values, so editing the workflow later never changes it.  Do not
+    mutate one; build a new snapshot instead.
+
     Attributes:
         workflow_id / workflow_name / signature: identity of the recipe.
         spec: serialized workflow (see ``workflow_to_dict``).
@@ -67,36 +75,38 @@ class ProspectiveProvenance:
     signature: str
     spec: Dict[str, Any]
     interfaces: Dict[str, Any] = field(default_factory=dict)
+    #: ``json.dumps(spec)``, encoded on first use (see :meth:`spec_json`)
+    _spec_json: Optional[str] = field(default=None, init=False,
+                                      repr=False, compare=False)
 
     @classmethod
     def from_workflow(cls, workflow: Workflow,
                       registry: Optional[ModuleRegistry] = None
                       ) -> "ProspectiveProvenance":
-        """Snapshot ``workflow`` (interface details when registry given)."""
-        interfaces: Dict[str, Any] = {}
-        if registry is not None:
-            for type_name in sorted({m.type_name for m
-                                     in workflow.modules.values()}):
-                if type_name not in registry:
-                    continue
-                definition = registry.get(type_name)
-                interfaces[type_name] = {
-                    "doc": definition.doc,
-                    "version": definition.version,
-                    "category": definition.category,
-                    "deterministic": definition.deterministic,
-                    "inputs": [{"name": p.name, "type": p.type_name,
-                                "optional": p.optional}
-                               for p in definition.input_ports],
-                    "outputs": [{"name": p.name, "type": p.type_name}
-                                for p in definition.output_ports],
-                    "parameters": [{"name": p.name, "default": p.default,
-                                    "kind": p.kind}
-                                   for p in definition.parameters],
-                }
-        return cls(workflow_id=workflow.id, workflow_name=workflow.name,
-                   signature=workflow.signature(),
-                   spec=workflow_to_dict(workflow), interfaces=interfaces)
+        """Snapshot ``workflow`` (interface details when registry given).
+
+        The snapshot is built once per workflow version and registry and
+        kept on the workflow's plan; later calls return that same object
+        until the workflow or the registry changes.
+        """
+        plan = workflow._plan()
+        facts = plan.for_registry(registry)
+        snapshot = facts.snapshot
+        if snapshot is None:
+            snapshot = cls(workflow_id=workflow.id,
+                           workflow_name=workflow.name,
+                           signature=plan.signature(),
+                           spec=workflow_to_dict(workflow),
+                           interfaces=_interfaces(workflow, registry))
+            facts.snapshot = snapshot
+        return snapshot
+
+    def spec_json(self) -> str:
+        """``json.dumps(self.spec)``, encoded once per snapshot."""
+        encoded = self._spec_json
+        if encoded is None:
+            encoded = self._spec_json = json.dumps(self.spec)
+        return encoded
 
     def to_workflow(self) -> Workflow:
         """Materialize the snapshot back into a mutable workflow."""
@@ -153,3 +163,30 @@ class ProspectiveProvenance:
                    signature=data["signature"],
                    spec=dict(data["spec"]),
                    interfaces=dict(data.get("interfaces", {})))
+
+
+def _interfaces(workflow: Workflow,
+                registry: Optional[ModuleRegistry]) -> Dict[str, Any]:
+    """Interface descriptions of the registered types ``workflow`` uses."""
+    interfaces: Dict[str, Any] = {}
+    if registry is not None:
+        for type_name in sorted({m.type_name for m
+                                 in workflow.modules.values()}):
+            if type_name not in registry:
+                continue
+            definition = registry.get(type_name)
+            interfaces[type_name] = {
+                "doc": definition.doc,
+                "version": definition.version,
+                "category": definition.category,
+                "deterministic": definition.deterministic,
+                "inputs": [{"name": p.name, "type": p.type_name,
+                            "optional": p.optional}
+                           for p in definition.input_ports],
+                "outputs": [{"name": p.name, "type": p.type_name}
+                            for p in definition.output_ports],
+                "parameters": [{"name": p.name, "default": p.default,
+                                "kind": p.kind}
+                               for p in definition.parameters],
+            }
+    return interfaces

@@ -183,6 +183,12 @@ class WorkflowRun:
     retention was enabled during capture; it is carried alongside the
     metadata rather than inside :class:`DataArtifact` so that metadata
     always serializes to JSON even when values do not.
+
+    ``workflow_spec`` of a captured run is the ``spec`` of its
+    workflow version's :class:`~repro.core.prospective
+    .ProspectiveProvenance` snapshot: a shared, read-only value that
+    every run of that version carries, and that later edits of the
+    workflow leave unchanged.  Copy it before changing it.
     """
 
     id: str

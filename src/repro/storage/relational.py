@@ -135,6 +135,10 @@ CREATE TABLE IF NOT EXISTS annotations (
     seq INTEGER
 );
 CREATE INDEX IF NOT EXISTS idx_runs_started ON runs(started, id);
+-- newest first with ascending id ties, the order of ``-started``
+-- selects: SQLite cannot walk idx_runs_started backwards for it and,
+-- at LIMIT 1 or 2, sorts every run instead
+CREATE INDEX IF NOT EXISTS idx_runs_newest ON runs(started DESC, id);
 CREATE INDEX IF NOT EXISTS idx_exec_run ON executions(run_id);
 CREATE INDEX IF NOT EXISTS idx_exec_type ON executions(module_type);
 CREATE INDEX IF NOT EXISTS idx_art_hash ON artifacts(value_hash);
@@ -173,8 +177,8 @@ def _run_header(row: Tuple) -> WorkflowRun:
         tags=json.loads(row[9]), values={})
 
 
-def _replace_header(cursor: sqlite3.Cursor, run: WorkflowRun,
-                    status: str) -> None:
+def _replace_header(store: "RelationalStore", cursor: sqlite3.Cursor,
+                    run: WorkflowRun, status: str) -> None:
     """Drop any stored run with ``run.id`` and insert its header row."""
     cursor.execute(_DELETE_VALUES, (run.id,))
     cursor.execute("DELETE FROM runs WHERE id = ?", (run.id,))
@@ -184,7 +188,7 @@ def _replace_header(cursor: sqlite3.Cursor, run: WorkflowRun,
         " VALUES (?,?,?,?,?,?,?,?,?,?)",
         (run.id, run.workflow_id, run.workflow_name, run.workflow_signature,
          status, run.started, run.finished, json.dumps(run.environment),
-         json.dumps(run.workflow_spec), json.dumps(run.tags)))
+         store._encoded_spec(run.workflow_spec), json.dumps(run.tags)))
 
 
 def _insert_rows(store: "RelationalStore", cursor: sqlite3.Cursor,
@@ -265,6 +269,8 @@ class RelationalStore(ProvenanceStore):
         self._connection = sqlite3.connect(path, check_same_thread=False)
         self._connection.execute("PRAGMA foreign_keys = ON")
         self._connection.executescript(_SCHEMA)
+        #: the snapshot :meth:`save_workflow` stored last
+        self._saved_snapshot: Optional[ProspectiveProvenance] = None
         self._migrate_schema()
         self._annotation_seq = self._current_annotation_seq()
         self._backfill_lineage()
@@ -377,7 +383,7 @@ class RelationalStore(ProvenanceStore):
         count = 0
         try:
             for run in runs:
-                _replace_header(cursor, run, run.status)
+                _replace_header(self, cursor, run, run.status)
                 hashes = {artifact_id: artifact.value_hash
                           for artifact_id, artifact in run.artifacts.items()}
                 _insert_rows(self, cursor, run.id, run.executions, 0, hashes,
@@ -491,12 +497,36 @@ class RelationalStore(ProvenanceStore):
 
     # -- workflows -------------------------------------------------------
     def save_workflow(self, prospective: ProspectiveProvenance) -> None:
-        self._connection.execute(
-            "INSERT OR REPLACE INTO workflows VALUES (?,?,?,?,?)",
-            (prospective.workflow_id, prospective.workflow_name,
-             prospective.signature, json.dumps(prospective.spec),
-             json.dumps(prospective.interfaces)))
-        self._connection.commit()
+        """Store the snapshot, remembering it as the last one saved.
+
+        The spec column is the snapshot's own :meth:`ProspectiveProvenance
+        .spec_json`, encoded once per snapshot; a run header whose spec
+        is that snapshot's spec reuses the same text (see
+        :meth:`_encoded_spec`).  A row that already holds exactly these
+        values is left alone, so rerunning one workflow version writes
+        and commits nothing here.
+        """
+        row = (prospective.workflow_id, prospective.workflow_name,
+               prospective.signature, prospective.spec_json(),
+               json.dumps(prospective.interfaces))
+        stored = self._connection.execute(
+            "SELECT 1 FROM workflows WHERE id = ? AND name = ?"
+            " AND signature = ? AND spec = ? AND interfaces = ?",
+            row).fetchone()
+        if stored is None:
+            self._connection.execute(
+                "INSERT OR REPLACE INTO workflows VALUES (?,?,?,?,?)", row)
+            self._connection.commit()
+        self._saved_snapshot = prospective
+
+    def _encoded_spec(self, spec: Dict[str, Any]) -> str:
+        """``json.dumps(spec)``, reused from the last saved snapshot when
+        ``spec`` is that snapshot's own spec (one slot, checked by
+        identity: a captured run carries its snapshot's spec object)."""
+        saved = self._saved_snapshot
+        if saved is not None and spec is saved.spec:
+            return saved.spec_json()
+        return json.dumps(spec)
 
     def load_workflow(self, workflow_id: str) -> ProspectiveProvenance:
         row = self._connection.execute(
@@ -839,7 +869,7 @@ class _RelationalRunStream(RunStreamWriter):
         # in-memory run says: paired with its stream_state journal row,
         # that is the crash signature fsck looks for.  finish() seals the
         # real status and removes the journal row atomically.
-        _replace_header(cursor, header, "running")
+        _replace_header(store, cursor, header, "running")
         cursor.execute(
             "INSERT INTO stream_state VALUES (?,?,?,?,?)",
             (header.id, self.epoch, 0, 0, time.time()))

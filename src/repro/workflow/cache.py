@@ -113,13 +113,32 @@ class CacheStats:
 def module_cache_key(type_name: str, version: str,
                      parameters: Mapping[str, Any],
                      input_hashes: Mapping[str, str]) -> CacheKey:
-    """Build the causal cache key for one module execution."""
-    payload = canonical_json({
-        "type": type_name,
-        "version": version,
-        "parameters": dict(parameters),
-        "inputs": dict(input_hashes),
-    })
+    """Build the causal cache key for one module execution.
+
+    The key hashes the canonical JSON of ``{"inputs", "parameters",
+    "type", "version"}``.  Sorted, ``"inputs"`` comes first, so
+    everything after it depends on the module alone:
+    :func:`cache_key_suffix` encodes that part once per workflow
+    version and :func:`cache_key_with_suffix` adds each run's inputs,
+    producing the same bytes as this function.
+    """
+    return cache_key_with_suffix(
+        cache_key_suffix(type_name, version, parameters), input_hashes)
+
+
+def cache_key_suffix(type_name: str, version: str,
+                     parameters: Mapping[str, Any]) -> str:
+    """The input-independent tail of :func:`module_cache_key`'s payload."""
+    static = canonical_json({"parameters": dict(parameters),
+                             "type": type_name, "version": version})
+    return "," + static[1:]
+
+
+def cache_key_with_suffix(suffix: str,
+                          input_hashes: Mapping[str, str]) -> CacheKey:
+    """:func:`module_cache_key` from a precomputed
+    :func:`cache_key_suffix`."""
+    payload = '{"inputs":' + canonical_json(dict(input_hashes)) + suffix
     return content_hash(payload.encode("utf-8"))
 
 

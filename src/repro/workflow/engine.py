@@ -38,11 +38,12 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 from repro.identity import hash_value, new_id
 from repro.workflow.cache import (DEFAULT_LEASE_TTL, CacheEntry,
                                   CacheStore, ResultCache,
-                                  module_cache_key)
+                                  cache_key_with_suffix, module_cache_key)
 from repro.workflow.environment import capture_environment
 from repro.workflow.errors import ExecutionError
 from repro.workflow.faults import (FaultInjected, FaultPlan, FaultSpec,
                                    RetryPolicy, resolve_retry)
+from repro.workflow.plan import RegistryPlan, WorkflowPlan
 from repro.workflow.registry import ModuleContext, ModuleRegistry
 from repro.workflow.scheduler import (ReadySetScheduler, SerialBackend,
                                       make_backend)
@@ -50,8 +51,8 @@ from repro.workflow.serialization import (DEFAULT_REGISTRY_PROVIDER,
                                           DEFAULT_SPILL_THRESHOLD,
                                           ProcessJob, ProcessOutcome,
                                           maybe_spill, resolve_spilled)
-from repro.workflow.spec import Module, Workflow
-from repro.workflow.validation import check_workflow
+from repro.workflow.spec import Connection, Module, Workflow
+from repro.workflow.validation import planned_issues
 
 __all__ = [
     "ValueRecord",
@@ -498,8 +499,11 @@ class Executor:
             if module_id not in workflow.modules:
                 raise ExecutionError(
                     f"reuse names a module not in the workflow: {module_id}")
+        # everything static about this workflow version, fetched once
+        plan = workflow._plan()
+        facts = plan.for_registry(self.registry)
         if self.validate:
-            self._validate(workflow, external, reused)
+            self._validate(workflow, plan, facts, external, reused)
 
         run_id = new_id("run")
         environment = self.environment()
@@ -508,9 +512,11 @@ class Executor:
         self._notify("on_run_start", run_id, workflow, environment, run_tags)
 
         # Raises CycleError up front; also the canonical result order.
+        # Read through the public method, which serves it from the plan,
+        # so a profiler wrapping it sees every run ask for its order.
         order = workflow.topological_order()
         results = self._run_scheduled(
-            run_id, workflow, external, overrides, reused,
+            run_id, workflow, plan, facts, external, overrides, reused,
             set(bypass_cache),
             workers if workers is not None else self.workers,
             backend if backend is not None else self.backend)
@@ -529,6 +535,7 @@ class Executor:
     # scheduling loop
     # ------------------------------------------------------------------
     def _run_scheduled(self, run_id: str, workflow: Workflow,
+                       plan: WorkflowPlan, facts: RegistryPlan,
                        external: Mapping[str, Dict[str, ValueRecord]],
                        overrides: Mapping[str, Dict[str, Any]],
                        reused: Mapping[str, ReusedModule],
@@ -536,7 +543,8 @@ class Executor:
                        workers: Optional[int],
                        backend_kind: Optional[str]
                        ) -> Dict[str, ModuleResult]:
-        scheduler = ReadySetScheduler(workflow)
+        scheduler = ReadySetScheduler(workflow, plan)
+        incoming = plan.topology().incoming
         backend = make_backend(workers, backend_kind)
         # Serial runs pop one ready module at a time, which reproduces the
         # canonical Kahn order exactly (execution timestamps then follow
@@ -596,8 +604,9 @@ class Executor:
                 ready = ([scheduler.pop_ready()] if one_at_a_time
                          else scheduler.take_ready())
                 for module_id in ready:
-                    self._dispatch(run_id, workflow, module_id, results,
-                                   external, overrides, reused,
+                    self._dispatch(run_id, workflow.modules[module_id],
+                                   facts, incoming.get(module_id, ()),
+                                   results, external, overrides, reused,
                                    bypass_cache, backend, settle, pending,
                                    drain, spill_dir)
                     # Harvest promptly: with the serial backend this keeps
@@ -617,7 +626,8 @@ class Executor:
                 shutil.rmtree(spill_dir, ignore_errors=True)
         return results
 
-    def _dispatch(self, run_id: str, workflow: Workflow, module_id: str,
+    def _dispatch(self, run_id: str, module: Module, facts: RegistryPlan,
+                  connections: Iterable[Connection],
                   results: Dict[str, ModuleResult],
                   external: Mapping[str, Dict[str, ValueRecord]],
                   overrides: Mapping[str, Dict[str, Any]],
@@ -632,14 +642,21 @@ class Executor:
         losing the claim means another run (or an earlier module of this
         one) is computing this causal signature, so this module waits
         and replays the published entry as a ``"cached"`` result.
+
+        The definition, resolved parameters and cache-key suffix come
+        from ``facts`` (the plan's registry part); a module with
+        per-run parameter overrides builds its full key instead.
         """
-        module = workflow.modules[module_id]
-        definition = self.registry.get(module.type_name)
-        parameters = definition.resolve_parameters(module.parameters)
-        parameters.update(overrides.get(module_id, {}))
+        module_id = module.id
+        planned = facts.module(module)
+        definition = planned.definition
+        parameters = dict(planned.parameters)
+        override = overrides.get(module_id)
+        if override:
+            parameters.update(override)
 
         input_records, blocked = self._gather_inputs(
-            workflow, module, results, external.get(module_id, {}))
+            connections, results, external.get(module_id, {}))
         if blocked:
             settle(module_id, ModuleResult(
                 module_id=module_id, execution_id=new_id("exec"),
@@ -667,9 +684,13 @@ class Executor:
         self._notify("on_module_start", run_id, module, parameters)
         input_hashes = {port: record.value_hash
                         for port, record in input_records.items()}
-        cache_key = module_cache_key(definition.type_name,
-                                     definition.version, parameters,
-                                     input_hashes)
+        if override:
+            cache_key = module_cache_key(definition.type_name,
+                                         definition.version, parameters,
+                                         input_hashes)
+        else:
+            cache_key = cache_key_with_suffix(planned.key_suffix,
+                                              input_hashes)
         lease_owner = ""
         if (module_id not in bypass_cache and self.cache is not None
                 and definition.deterministic):
@@ -951,12 +972,12 @@ class Executor:
             cache_key=attempt.cache_key, error=error)
 
     # ------------------------------------------------------------------
-    def _validate(self, workflow: Workflow,
+    def _validate(self, workflow: Workflow, plan: WorkflowPlan,
+                  facts: RegistryPlan,
                   external: Mapping[str, Dict[str, ValueRecord]],
                   reused: Mapping[str, ReusedModule]) -> None:
-        issues = check_workflow(workflow, self.registry)
         errors = []
-        for issue in issues:
+        for issue in planned_issues(workflow, facts):
             if not issue.is_error():
                 continue
             if issue.code == "unbound-input":
@@ -966,18 +987,21 @@ class Executor:
                     continue
                 bound_here = external.get(issue.subject)
                 if bound_here and self._unbound_satisfied(
-                        workflow, issue.subject, bound_here):
+                        workflow.modules[issue.subject], plan, facts,
+                        bound_here):
                     continue
             errors.append(issue)
         if errors:
             summary = "; ".join(f"[{i.code}] {i.message}" for i in errors)
             raise ExecutionError(f"cannot execute workflow: {summary}")
 
-    def _unbound_satisfied(self, workflow: Workflow, module_id: str,
+    @staticmethod
+    def _unbound_satisfied(module: Module, plan: WorkflowPlan,
+                           facts: RegistryPlan,
                            bound: Mapping[str, ValueRecord]) -> bool:
-        definition = self.registry.get(
-            workflow.modules[module_id].type_name)
-        connected = {c.target_port for c in workflow.incoming(module_id)}
+        definition = facts.module(module).definition
+        connected = {c.target_port
+                     for c in plan.topology().incoming.get(module.id, ())}
         for port in definition.input_ports:
             if port.optional or port.name in connected:
                 continue
@@ -985,21 +1009,23 @@ class Executor:
                 return False
         return True
 
-    def _gather_inputs(self, workflow: Workflow, module: Module,
+    @staticmethod
+    def _gather_inputs(connections: Iterable[Connection],
                        results: Dict[str, ModuleResult],
                        external: Mapping[str, ValueRecord]
                        ) -> Tuple[Dict[str, ValueRecord], str]:
         """Resolve input port values; return (records, blocking_module_id).
 
-        ``external`` holds this module's externally bound values by port;
-        a connection feeding the same port wins over it.
+        ``connections`` feed the module, sorted by target port (from the
+        plan); ``external`` holds its externally bound values by port; a
+        connection feeding the same port wins over it.
 
         Connections are visited in target-port order, so the blocking
         module reported for a skip is deterministic regardless of which
         upstream failure resolved first.
         """
         records: Dict[str, ValueRecord] = {}
-        for connection in workflow.incoming(module.id):
+        for connection in connections:
             upstream = results[connection.source_module]
             if not upstream.succeeded():
                 return {}, connection.source_module

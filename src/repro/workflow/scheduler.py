@@ -49,6 +49,7 @@ from concurrent.futures import wait as futures_wait
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.workflow.errors import ExecutionError
+from repro.workflow.plan import WorkflowPlan
 from repro.workflow.serialization import (ProcessJob, ProcessOutcome,
                                           execute_process_job)
 from repro.workflow.spec import Workflow
@@ -79,18 +80,19 @@ class ReadySetScheduler:
     module and promotes any dependents whose last dependency it was.  The
     ready set is a heap, so :meth:`pop_ready` and each promotion cost
     O(log V).
+
+    The dependency counts, dependents and sources come from the
+    workflow's plan (``plan``, or the workflow's current one), derived
+    once per workflow version; only the counts are copied per scheduler.
     """
 
-    def __init__(self, workflow: Workflow) -> None:
-        self._remaining: Dict[str, int] = {
-            module_id: len(workflow.predecessors(module_id))
-            for module_id in workflow.modules}
-        self._dependents: Dict[str, List[str]] = {
-            module_id: workflow.successors(module_id)
-            for module_id in workflow.modules}
-        self._ready: List[str] = [
-            m for m, count in self._remaining.items() if count == 0]
-        heapq.heapify(self._ready)
+    def __init__(self, workflow: Workflow,
+                 plan: Optional[WorkflowPlan] = None) -> None:
+        topology = (plan if plan is not None else workflow._plan()).topology()
+        self._remaining: Dict[str, int] = dict(topology.pred_counts)
+        self._dependents: Dict[str, List[str]] = topology.dependents
+        # sorted, hence already a heap
+        self._ready: List[str] = list(topology.sources)
         self._issued: set = set()
         self._resolved: set = set()
 

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, IO, Mapping
 
 from repro.workflow.errors import SpecError
+from repro.workflow.plan import owned_parameters
 from repro.workflow.registry import ModuleContext, ModuleRegistry
 from repro.workflow.spec import Connection, Module, Workflow
 
@@ -62,7 +63,11 @@ FORMAT_VERSION = 1
 
 
 def workflow_to_dict(workflow: Workflow) -> Dict[str, Any]:
-    """Convert ``workflow`` into a JSON-serializable dictionary."""
+    """Convert ``workflow`` into a JSON-serializable dictionary.
+
+    The dictionary owns its parameter values (copies, deep when a value
+    is not a scalar), so later edits of the workflow leave it unchanged.
+    """
     return {
         "format_version": FORMAT_VERSION,
         "id": workflow.id,
@@ -72,7 +77,7 @@ def workflow_to_dict(workflow: Workflow) -> Dict[str, Any]:
                 "id": module.id,
                 "type": module.type_name,
                 "name": module.name,
-                "parameters": module.parameters,
+                "parameters": owned_parameters(module.parameters),
                 "position": list(module.position),
             }
             for module in sorted(workflow.modules.values(),

@@ -13,12 +13,12 @@ the VisTrails change-based provenance model.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.identity import canonical_json, content_hash, new_id
-from repro.workflow.errors import CycleError, SpecError
+from repro.identity import canonical_json, new_id
+from repro.workflow.errors import SpecError
+from repro.workflow.plan import WorkflowPlan, plan_key
 
 __all__ = ["Module", "Connection", "Workflow"]
 
@@ -92,7 +92,18 @@ class Workflow:
     The lists are built lazily and kept current by the mutators; a write
     straight into :attr:`connections` that changes its size (or a new
     ``connections`` dict) makes the next query rebuild them.
+
+    Whole-workflow derivations — the topological order, the signature,
+    and what the engine, validation and capture derive per run — come
+    from one :class:`~repro.workflow.plan.WorkflowPlan`, kept until the
+    workflow's content changes (however it is changed; see
+    :func:`~repro.workflow.plan.plan_key`).  The plan is not pickled and
+    not copied.
     """
+
+    #: the current plan (see :meth:`_plan`); a class default, so
+    #: unpickled workflows start without one
+    _plan_cache: Optional[WorkflowPlan] = None
 
     def __init__(self, name: str = "workflow",
                  workflow_id: Optional[str] = None) -> None:
@@ -258,29 +269,13 @@ class Workflow:
     def topological_order(self) -> List[str]:
         """Kahn topological order of module ids, deterministic by id.
 
-        Among the modules ready at each step the smallest id goes first;
-        a heap keeps that choice O(log V), so the whole order costs
-        O((V + E) log V).  Raises :class:`CycleError` when the graph has
-        a cycle.
+        Among the modules ready at each step the smallest id goes first.
+        The order is derived once per workflow version (see
+        :meth:`_plan`); each call returns a fresh list.  Raises
+        :class:`~repro.workflow.errors.CycleError` when the graph has a
+        cycle.
         """
-        # in-degree counts distinct predecessors: two connections between
-        # the same module pair (e.g. image + header) are one dependency
-        in_degree = {module_id: len(self.predecessors(module_id))
-                     for module_id in self.modules}
-        ready = [m for m, d in in_degree.items() if d == 0]
-        heapq.heapify(ready)
-        order: List[str] = []
-        while ready:
-            current = heapq.heappop(ready)
-            order.append(current)
-            for successor in self.successors(current):
-                in_degree[successor] -= 1
-                if in_degree[successor] == 0:
-                    heapq.heappush(ready, successor)
-        if len(order) != len(self.modules):
-            stuck = sorted(m for m, d in in_degree.items() if d > 0)
-            raise CycleError(f"workflow contains a cycle through: {stuck}")
-        return order
+        return list(self._plan().order())
 
     def upstream_modules(self, module_id: str) -> List[str]:
         """All transitive predecessors of ``module_id`` (sorted)."""
@@ -324,17 +319,43 @@ class Workflow:
                  "parameters": m.parameters}
                 for m in ordered
             ],
+            # a dangling endpoint (a module deleted behind the
+            # mutators' back) reads -1, so a corrupt workflow still has
+            # a signature for validation to report against
             "connections": sorted(
-                [index[c.source_module], c.source_port,
-                 index[c.target_module], c.target_port]
+                [index.get(c.source_module, -1), c.source_port,
+                 index.get(c.target_module, -1), c.target_port]
                 for c in self.connections.values()
             ),
         }
 
     def signature(self) -> str:
-        """Content hash identifying this workflow's structure."""
-        return content_hash(canonical_json(self.structure_dict())
-                            .encode("utf-8"))
+        """Content hash identifying this workflow's structure (derived
+        once per workflow version)."""
+        return self._plan().signature()
+
+    def _plan(self) -> WorkflowPlan:
+        """The plan of the workflow's current content.
+
+        Checks the cached plan against the workflow as it is now (see
+        :func:`~repro.workflow.plan.plan_key`) and builds a new plan when
+        the content differs.  The new plan is published by one
+        assignment, so threads sharing the workflow see the old plan or
+        the new one, never a mix.
+        """
+        key = plan_key(self)
+        plan = self._plan_cache
+        if plan is None or not plan.is_current(self, key):
+            plan = WorkflowPlan(self, key)
+            self._plan_cache = plan
+        return plan
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # the plan references registries (compute closures) and weakly
+        # this workflow: neither pickles, and both are rederived
+        state = dict(self.__dict__)
+        state.pop("_plan_cache", None)
+        return state
 
     def copy(self, new_id_: Optional[str] = None) -> "Workflow":
         """Deep-copy the workflow (same module/connection ids)."""

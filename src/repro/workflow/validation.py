@@ -16,13 +16,15 @@ package is imported lazily so the executor's import graph stays acyclic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 from repro.workflow.errors import ValidationError
+from repro.workflow.plan import RegistryPlan
 from repro.workflow.registry import ModuleRegistry
 from repro.workflow.spec import Workflow
 
-__all__ = ["ValidationIssue", "check_workflow", "validate_workflow"]
+__all__ = ["ValidationIssue", "check_workflow", "planned_issues",
+           "validate_workflow"]
 
 
 @dataclass(frozen=True)
@@ -52,14 +54,32 @@ def check_workflow(workflow: Workflow,
 
     Runs exactly the legacy rule tier of the analysis catalog; the
     ``code`` on each issue is the diagnostic's rule name, unchanged
-    since before the catalog existed.
+    since before the catalog existed.  The rules run once per workflow
+    version and registry (see :func:`planned_issues`).
     """
-    from repro.analysis.workflow import legacy_diagnostics
-    return [ValidationIssue(severity=diagnostic.severity,
+    return list(planned_issues(workflow,
+                               workflow._plan().for_registry(registry)))
+
+
+def planned_issues(workflow: Workflow,
+                   facts: RegistryPlan) -> Tuple[ValidationIssue, ...]:
+    """The legacy issues of ``workflow`` against ``facts.registry``.
+
+    ``facts`` is the registry part of the workflow's current plan; the
+    issues are derived on its first use and kept on it, so an unchanged
+    workflow is checked once however often it runs.
+    """
+    issues = facts.issues
+    if issues is None:
+        from repro.analysis.workflow import legacy_diagnostics
+        issues = tuple(
+            ValidationIssue(severity=diagnostic.severity,
                             code=diagnostic.rule,
                             message=diagnostic.message,
                             subject=diagnostic.subject)
-            for diagnostic in legacy_diagnostics(workflow, registry)]
+            for diagnostic in legacy_diagnostics(workflow, facts.registry))
+        facts.issues = issues
+    return issues
 
 
 def validate_workflow(workflow: Workflow, registry: ModuleRegistry) -> None:

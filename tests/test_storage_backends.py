@@ -264,27 +264,35 @@ class TestRelationalSpecifics:
         assert counts[0] == counts[1]
 
     def test_run_order_uses_index(self, captured_run):
-        """The newest-10-runs query and list_runs walk idx_runs_started
-        instead of sorting every run."""
+        """Newest-runs queries at every limit, and list_runs, walk a
+        runs index instead of sorting every run, and keep their order:
+        newest first, ties by ascending id."""
         _, run = captured_run
         store = RelationalStore()
-        store.save_runs([clone_run(run, f"c{index}", started=float(index))
+        # two runs per start time, so the id tie-break is exercised
+        store.save_runs([clone_run(run, f"c{index:02d}",
+                                   started=float(index // 2))
                          for index in range(12)])
+        expected = sorted(store.list_runs(), key=lambda summary: (
+            -summary.started, summary.run_id))
         statements = []
         store._connection.set_trace_callback(statements.append)
         try:
-            newest = store.select(
-                ProvQuery.runs().order_by("-started").limit(10)).all()
+            newest = {limit: store.select(ProvQuery.runs().order_by(
+                "-started").limit(limit)).all() for limit in (1, 2, 3, 10)}
             listed = store.list_runs()
         finally:
             store._connection.set_trace_callback(None)
-        assert [row["started"] for row in newest] == [
-            float(index) for index in range(11, 1, -1)]
+        for limit, rows in newest.items():
+            assert [row["id"] for row in rows] == [
+                summary.run_id for summary in expected[:limit]], limit
         assert len(listed) == 12
+        assert len(statements) == 5
         for statement in statements:
             plan = " ".join(row[-1] for row in store.sql(
                 f"EXPLAIN QUERY PLAN {statement}"))
-            assert "idx_runs_started" in plan, (statement, plan)
+            assert "USING INDEX idx_runs_" in plan, (statement, plan)
+            assert "TEMP B-TREE" not in plan, (statement, plan)
 
     def test_row_level_write_parity(self, captured_run):
         """save_run, save_runs and streams of any batch size write the
